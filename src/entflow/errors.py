@@ -52,7 +52,7 @@ class ResidualTooLargeError(EntflowError, RuntimeError):
 
 
 class SingularSystemError(EntflowError, RuntimeError):
-    """The vectorized linear system is singular (marginal dynamics)."""
+    """A steady-state linear system is singular (marginal dynamics)."""
 
 
 class ComplexEigenvalueError(EntflowError, ValueError):

@@ -4,21 +4,21 @@ The covariance matrix of a linear Gaussian network obeys
 
     dV/dt = A V + V A^T + N,
 
-with drift A and diffusion N from :mod:`entflow.network`.  Two independent
-solvers compute the steady state:
+with drift A and diffusion N from :mod:`entflow.network`.
 
-* a spectral solver that diagonalizes A and applies the closed-form kernel
-  G_jk = -1/(alpha_j + alpha_k) in the eigenbasis, and
-* a vectorized solver that solves (I (x) A + A (x) I) vec(V) = -vec(N)
-  directly.
-
-The spectral route is fast but requires a well-conditioned eigenbasis.  The
-cascaded chain is exactly non-diagonalizable whenever three or more interior
-nodes are identical (the one-way couplings chain equal diagonal blocks into
-a single Jordan block), so the spectral solver silently falls back to the
-vectorized one when the eigenvector condition number or the reconstruction
-error is out of bounds.  Every returned matrix is checked against the
-residual contract ||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max).
+The steady state comes from one structured Bartels-Stewart solve.  The
+strongly connected index groups of A's nonzero pattern, listed so that each
+depends only on the groups after it, make A block upper-triangular.  For
+the cascaded chain the groups are the single chain nodes and the 4x4 source
+block (the source with the chain end it couples to), and a dense matrix is
+a single group.  A damped-rotation 2x2 block (every chain node) is diagonal
+in the mode basis (a, a^dag); any other block gets a small complex Schur
+form.  Together they make A unitarily triangular, so the spectrum, and with
+it stability, is read off the triangular diagonal and the Lyapunov equation
+becomes one triangular Sylvester solve.  A generic Kronecker-vectorized
+solver, (I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent
+oracle.  Every returned matrix is checked against the residual contract
+||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
 
 # |spectral abscissa| below this is reported Marginal rather than stable.
 STABILITY_MARGIN = 1e-9
-# Eigenbasis acceptance gates for the spectral route.
+# Eigenbasis acceptance gates for the time-evolution kernel.
 CONDITION_LIMIT = 1e8
 RECONSTRUCTION_RTOL = 1e-10
 # |alpha_j + alpha_k| below this uses the t-linear kernel limit.
@@ -48,6 +48,8 @@ DEGENERATE_KERNEL_TOL = 1e-12
 IMAG_RESIDUE_RTOL = 1e-10
 # Residual contract shared by both solvers.
 RESIDUAL_RTOL = 1e-8
+# (x, p)^T = MODE_BASIS (a, a^dag)^T; unitary.
+MODE_BASIS = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,95 @@ class SpectralDecomposition:
         )
 
 
+def _block_order(a: np.ndarray) -> tuple:
+    """Permutation and block bounds that make ``a`` block upper-triangular.
+
+    Indices i and k share a block when each is reachable from the other
+    through the nonzero pattern of ``a`` (strongly connected components).
+    Blocks are listed so that each depends only on blocks after it: a row's
+    count of transitive dependencies strictly exceeds that of every block it
+    depends on.  Returns (order, starts, stops): a[order][:, order] is block
+    upper-triangular with diagonal blocks [starts[k], stops[k]).
+    """
+    dim = a.shape[0]
+    # reach[i, k]: x_i is driven by x_k, directly or through other indices
+    reach = (a != 0) | np.eye(dim, dtype=bool)
+    while True:
+        weights = reach.astype(np.float32)
+        closed = (weights @ weights) > 0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    first = (reach & reach.T).argmax(axis=1)  # lowest index of i's block
+    order = np.lexsort((first, -reach.sum(axis=1)))
+    edges = np.flatnonzero(np.diff(first[order])) + 1
+    return order, np.r_[0, edges], np.r_[edges, dim]
+
+
+def _block_schur(a: np.ndarray) -> tuple:
+    """Block triangular form of ``a`` with a complex Schur form per block.
+
+    Returns (order, permuted, groups): permuted = a[order][:, order] is block
+    upper-triangular, and each group (idx, t, z) stacks diagonal blocks with
+    permuted[idx[k]][:, idx[k]] = z[k] t[k] z[k]^H, t[k] upper triangular
+    and z[k] unitary.  The damped rotations [[alpha, beta], [-beta, alpha]]
+    (every chain node) form one group: they are diagonal in the mode basis
+    (a, a^dag), with the exact eigenvalues alpha -+ i beta.  Every other
+    block is a group of its own, through scipy's complex Schur form.
+    """
+    if not np.isfinite(a).all():
+        raise EigenFailureError("matrix has non-finite entries")
+    order, starts, stops = _block_order(a)
+    permuted = a[np.ix_(order, order)]
+    pairs = starts[stops - starts == 2]
+    alpha, beta = permuted[pairs, pairs], permuted[pairs, pairs + 1]
+    rotating = (permuted[pairs + 1, pairs + 1] == alpha) & (
+        permuted[pairs + 1, pairs] == -beta
+    )
+    groups = []
+    if rotating.any():
+        eigs = alpha[rotating] - 1j * beta[rotating]
+        t = np.zeros((eigs.size, 2, 2), dtype=complex)
+        t[:, 0, 0], t[:, 1, 1] = eigs, eigs.conj()
+        idx = pairs[rotating, None] + np.arange(2)
+        groups.append((idx, t, np.broadcast_to(MODE_BASIS, t.shape)))
+    done = set(pairs[rotating].tolist())
+    for lo, hi in zip(starts.tolist(), stops.tolist()):
+        if lo in done:
+            continue
+        try:
+            t, z = scipy.linalg.schur(permuted[lo:hi, lo:hi], output="complex")
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailureError(f"Schur decomposition failed: {exc}") from exc
+        groups.append((np.arange(lo, hi)[None], t[None], z[None]))
+    return order, permuted, groups
+
+
+def _abscissa(groups) -> float:
+    return max(
+        float(np.diagonal(t, axis1=1, axis2=2).real.max()) for _, t, _ in groups
+    )
+
+
+def _blockwise(factors, x: np.ndarray) -> np.ndarray:
+    """Block-diagonal product: for each (idx, mats) of ``factors`` the rows
+    idx[k] of the result are mats[k] @ x[idx[k]]."""
+    out = np.empty(x.shape, dtype=complex)
+    for idx, mats in factors:
+        out[idx] = mats @ x[idx]
+    return out
+
+
 def spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part of the eigenvalues of ``a``."""
-    try:
-        eigs = np.linalg.eigvals(np.asarray(a, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailureError(f"eigenvalue computation failed: {exc}") from exc
-    return float(eigs.real.max())
+    """Largest real part of the eigenvalues of ``a``.
+
+    Read off the diagonal blocks of the block-triangular form of ``a``:
+    exactly for damped rotations, from a small complex Schur form
+    otherwise.  A cascade's chain nodes, whose one-way couplings make one
+    large defective cluster of the whole drift, never enter an eigensolver.
+    """
+    _, _, groups = _block_schur(np.asarray(a, dtype=float))
+    return _abscissa(groups)
 
 
 def stability_report(a: np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityReport:
@@ -212,34 +296,52 @@ def solve_steady_state_vectorized(a: np.ndarray, noise: np.ndarray) -> np.ndarra
 
 
 def solve_steady_state_spectral(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Steady state via the eigenbasis kernel, with automatic fallback.
+    """Steady state by one structured Bartels-Stewart solve.
 
-    In the eigenbasis of A the fixed point is V = P [G o M] P^T with
-    M = P^-1 N P^-T and G_jk = -1/(alpha_j + alpha_k); the result is
-    symmetrized and its imaginary round-off discarded after a magnitude
-    check.  When the eigenbasis fails its acceptance gates the vectorized
-    solver is used instead, transparently.
+    With P the block order of A and Q = blkdiag(zs) its per-block Schur
+    bases, U = Q^H A[P][:, P] Q is upper triangular and its diagonal is the
+    spectrum of A, so stability is decided on it.  In the shifted variable
+    D = V - I, with right-hand side C = -(N + A + A^T), the equation
+    A D + D A^T = C becomes U Y + Y U^T = Q^H C[P][:, P] conj(Q) for
+    D[P][:, P] = Q Y Q^T: one triangular Sylvester solve (LAPACK ztrsyl).
+    The shift is exact for networks whose steady state is the vacuum (C
+    vanishes identically, so V = I bitwise), and since a block only ever
+    sees the blocks it depends on, nodes upstream of the source come out
+    bitwise independent of the source's parameters.  The result has its
+    imaginary round-off discarded after a magnitude check and is
+    symmetrized.
 
     Raises UnstableError when the spectral abscissa is >= 0 (no decaying
-    fixed point), and ResidualTooLargeError when the computed matrix fails
-    the residual contract.
+    fixed point), SingularSystemError when LAPACK reports a near-singular
+    Sylvester operator, and ResidualTooLargeError when the computed matrix
+    fails the residual contract.
     """
     a = np.asarray(a, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if spectral_abscissa(a) >= 0.0:
+    order, permuted, groups = _block_schur(a)
+    if _abscissa(groups) >= 0.0:
         raise UnstableError(
             "dynamics has no decaying steady state (spectral abscissa >= 0)"
         )
-    decomp = spectral_decomposition(a)
-    if not decomp.accepted():
-        return solve_steady_state_vectorized(a, noise)
-    alpha = decomp.eigenvalues
-    kernel = -1.0 / (alpha[:, None] + alpha[None, :])
-    transformed = decomp.p_inv @ noise @ decomp.p_inv.T
-    v = decomp.p @ (kernel * transformed) @ decomp.p.T
-    v = _discard_imaginary(v, "spectral")
+    q = [(idx, z) for idx, _, z in groups]
+    q_t = [(idx, z.swapaxes(1, 2)) for idx, _, z in groups]
+    q_h = [(idx, z.conj().swapaxes(1, 2)) for idx, _, z in groups]
+    u = _blockwise(q_h, _blockwise(q_t, permuted.T).T)
+    for idx, t, _ in groups:
+        u[idx[:, :, None], idx[:, None, :]] = t
+    rhs = -(noise + a + a.T)[np.ix_(order, order)]
+    c = _blockwise(q_h, _blockwise(q_h, rhs.T).T)
+    y, scale, info = scipy.linalg.lapack.ztrsyl(u, u.conj(), c, tranb="C")
+    if info != 0:
+        raise SingularSystemError(
+            f"triangular Sylvester solve failed (LAPACK info {info})"
+        )
+    y /= scale
+    inverse = np.argsort(order)
+    deviation = _blockwise(q, _blockwise(q, y.T).T)[np.ix_(inverse, inverse)]
+    v = np.eye(a.shape[0]) + _discard_imaginary(deviation, "structured")
     v = (v + v.T) / 2.0
-    _check_residual(a, v, noise, "spectral")
+    _check_residual(a, v, noise, "structured")
     return v
 
 

@@ -164,6 +164,20 @@ def test_figure_repeat_runs_are_byte_identical(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_figure_stability_at_exceptional_point(tmp_path, capsys):
+    # r = 0, j = gamma/4 makes the source block defective; its abscissa is
+    # -(2 gamma_out + gamma)/4 = -0.201 exactly
+    out = tmp_path / "stability.csv"
+    code, _, _ = run_cli(
+        capsys, "figure", "stability", "--grid", "1x1",
+        "--range", "0:0,0.2:0.2", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert abs(float(cells["spectral_abscissa"]) + 0.201) <= 1e-8
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -58,6 +58,60 @@ def test_stability_report_classification():
     assert marginal.marginal and not marginal.stable
 
 
+def test_long_chain_abscissa_is_exact():
+    # the interior nodes form one defective cluster at -0.81 that an
+    # eigensolver on the whole drift scatters up to -0.17 at this length;
+    # the exact abscissa -0.21 belongs to the 4x4 source block
+    a, _ = chain_matrices(M=150, gamma_out=0.02, j=0.3, r=0.0)
+    assert abs(spectral_abscissa(a) + 0.21) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [10, 20, 30, 40])
+def test_exceptional_point_abscissa(m):
+    # at r = 0, j = gamma/4 the source block is defective with the double
+    # eigenvalue real part -(2 gamma_out + gamma)/4; a 4x4 Schur form finds
+    # it to sqrt(eps) whatever the chain length
+    gamma, gamma_out = DEFAULT_CONFIG.gamma, DEFAULT_CONFIG.gamma_out
+    a, _ = chain_matrices(
+        M=m, r=0.0, j=gamma / 4.0, direction=Direction.BACKWARD
+    )
+    assert abs(spectral_abscissa(a) + (2.0 * gamma_out + gamma) / 4.0) <= 1e-8
+
+
+def permuted_block_triangular(rng, sizes):
+    """A random stable block lower-triangular matrix with sparse coupling,
+    its rows and columns shuffled, and the eigenvalues of its diagonal
+    blocks."""
+    dim = sum(sizes)
+    a = np.zeros((dim, dim))
+    eigs = []
+    lo = 0
+    for size in sizes:
+        block = rng.normal(size=(size, size))
+        shift = np.linalg.eigvals(block).real.max() + rng.uniform(0.2, 1.0)
+        block -= shift * np.eye(size)
+        a[lo : lo + size, lo : lo + size] = block
+        a[lo : lo + size, :lo] = rng.normal(size=(size, lo)) * (
+            rng.random((size, lo)) < 0.3
+        )
+        eigs.extend(np.linalg.eigvals(block))
+        lo += size
+    perm = rng.permutation(dim)
+    return a[np.ix_(perm, perm)], np.array(eigs)
+
+
+def test_abscissa_and_solve_on_permuted_block_triangular_systems():
+    rng = np.random.default_rng(404)
+    for sizes in ([1, 2, 3], [4, 1, 1, 2, 2], [2, 2, 2, 4, 3], [6]):
+        a, eigs = permuted_block_triangular(rng, sizes)
+        assert spectral_abscissa(a) == pytest.approx(eigs.real.max(), abs=1e-12)
+        w = rng.normal(size=a.shape)
+        n = w @ w.T + 0.1 * np.eye(a.shape[0])
+        reference = oracles.lyapunov_bartels_stewart(a, n)
+        v = solve_steady_state_spectral(a, n)
+        assert np.linalg.norm(v - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 def test_chain_unstable_at_large_squeezing():
     a, _ = chain_matrices(r=2.0, j=0.1)
     report = stability_report(a)
@@ -104,10 +158,11 @@ def test_vacuum_steady_state_is_exact_identity():
             assert np.array_equal(
                 solve_steady_state_vectorized(a, n), np.eye(net.dim)
             )
-            # the spectral entry point may route through its eigenbasis
-            # kernel, which only promises floating-point closeness
-            v = solve_steady_state_spectral(a, n)
-            assert np.abs(v - np.eye(net.dim)).max() <= 1e-12
+            # the structured solver works in the same shifted variable, so
+            # its triangular solve sees the same zero right-hand side
+            assert np.array_equal(
+                solve_steady_state_spectral(a, n), np.eye(net.dim)
+            )
 
 
 def test_thermal_single_mode_closed_form():
@@ -141,8 +196,8 @@ def test_solvers_match_schur_oracle():
 
 
 def test_spectral_falls_back_on_defective_chain():
-    # from four nodes on the eigenbasis is rejected, so the spectral entry
-    # point must return the vectorized solution transparently
+    # from four nodes on the chain has no usable eigenbasis; the structured
+    # solver never needs one and must agree with the Kronecker oracle
     a, n = chain_matrices(M=5, r=0.15, j=0.4)
     assert_allclose(
         solve_steady_state_spectral(a, n),

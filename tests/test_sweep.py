@@ -7,15 +7,19 @@ import pytest
 from dataclasses import replace
 from numpy.testing import assert_allclose
 
+import oracles
 from entflow import (
     DEFAULT_CONFIG,
     ENTANGLEMENT_THRESHOLD,
     Direction,
     MissingDirectionError,
+    build_dynamical_matrix,
+    build_noise_matrix,
     export_csv,
     figure_dataset,
     max_entangled_node,
     run_point,
+    solve_steady_state_spectral,
     sweep_grid,
     validate_config,
 )
@@ -112,8 +116,42 @@ def test_run_point_single_node_has_no_pairs():
     assert result.en_backward_pair is None
 
 
+def test_long_forward_chain_matches_bartels_stewart():
+    net = make_net(M=100, r=0.1, j=0.5, nbar_local=0.01, nbar_common=0.02)
+    result = run_point(net)
+    assert result.stable and result.physical
+    assert result.solver_error is None
+    a, n = build_dynamical_matrix(net), build_noise_matrix(net)
+    v = solve_steady_state_spectral(a, n)
+    reference = oracles.lyapunov_bartels_stewart(a, n)
+    assert np.linalg.norm(v - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
 # ---------------------------------------------------------------------------
 # grids
+
+
+def test_backward_upstream_nodes_do_not_see_the_source(monkeypatch):
+    # in Backward runs chain nodes 1..M-1 sit upstream of the source, so
+    # their covariance blocks must come out bitwise the same for every (r, j)
+    states = []
+
+    def recording(a, noise):
+        v = solve_steady_state_spectral(a, noise)
+        states.append(v)
+        return v
+
+    monkeypatch.setattr("entflow.sweep.solve_steady_state_spectral", recording)
+    base = replace(DEFAULT_CONFIG, nbar_local=0.01, nbar_common=0.02)
+    values = [0.0, 0.05, 0.2, 0.45]
+    grid = sweep_grid(base, values, [0.1, 0.2, 0.5, 0.9], Direction.BACKWARD)
+    n_stable = sum(p.stable for row in grid.results for p in row)
+    assert len(states) == n_stable >= 10
+    upstream = slice(2, 2 * base.M)
+    first = states[0][upstream, upstream]
+    assert not np.array_equal(first, np.eye(first.shape[0]))
+    for v in states[1:]:
+        assert np.array_equal(v[upstream, upstream], first)
 
 
 def test_sweep_grid_shape_and_axes():
