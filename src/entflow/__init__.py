@@ -7,7 +7,6 @@ from .errors import (
     ConfigError,
     EigenFailureError,
     EntflowError,
-    IllConditionedError,
     LengthMismatchError,
     MissingDirectionError,
     NegativeRateError,

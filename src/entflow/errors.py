@@ -43,10 +43,6 @@ class UnstableError(EntflowError, RuntimeError):
     """A steady state was requested for dynamics with no decaying fixed point."""
 
 
-class IllConditionedError(EntflowError, RuntimeError):
-    """The eigenvector basis is too ill-conditioned to trust."""
-
-
 class ResidualTooLargeError(EntflowError, RuntimeError):
     """A computed solution failed its own residual check."""
 
