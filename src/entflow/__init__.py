@@ -22,6 +22,7 @@ from .network import (
     SystemMatrices,
     ValidatedNetwork,
     bath_occupations,
+    build_drift_stack,
     build_dynamical_matrix,
     build_input_matrix,
     build_noise_matrix,
@@ -36,6 +37,7 @@ from .lyapunov import (
     evolve_covariance,
     solve_steady_state_spectral,
     solve_steady_state_vectorized,
+    solve_steady_states,
     spectral_abscissa,
     spectral_decomposition,
     stability_report,
@@ -48,6 +50,8 @@ from .measures import (
     effective_temperature,
     log_negativity,
     mean_occupation,
+    pair_log_negativities,
+    physicality,
     ppt_symplectic_min,
     reduce_single_mode,
     reduce_two_mode,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -134,6 +135,8 @@ def _parse_range(text: str):
             lo_v, hi_v = float(lo), float(hi)
         except ValueError:
             raise ConfigError(f"--range: bad span {part!r}") from None
+        if not (math.isfinite(lo_v) and math.isfinite(hi_v)):
+            raise ConfigError(f"--range: span bounds must be finite, got {part!r}")
         if not sep or hi_v < lo_v or lo_v < 0:
             raise ConfigError(
                 f"--range: spans need 0 <= min <= max, got {part!r}"
@@ -353,7 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_figure.add_argument("--out", metavar="PATH", help="CSV path (default: <name>.csv)")
     p_figure.add_argument("--direction", choices=[d.value for d in Direction])
-    p_figure.add_argument("--threads", type=int, default=1, metavar="N")
+    p_figure.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        metavar="N",
+        help="accepted for compatibility; changes nothing (the sweep is batched)",
+    )
     p_figure.set_defaults(handler=cmd_figure)
 
     p_selftest = sub.add_parser("selftest", help="run built-in validation fixtures")

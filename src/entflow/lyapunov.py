@@ -11,11 +11,14 @@ strongly connected index groups of A's nonzero pattern, listed so that each
 depends only on the groups after it, make A block upper-triangular.  For
 the cascaded chain the groups are the single chain nodes and the 4x4 source
 block (the source with the chain end it couples to), and a dense matrix is
-a single group.  A damped-rotation 2x2 block (every chain node) is diagonal
-in the mode basis (a, a^dag); any other block gets a small complex Schur
-form.  Together they make A unitarily triangular, so the spectrum, and with
-it stability, is read off the triangular diagonal and the Lyapunov equation
-becomes one triangular Sylvester solve.  A generic Kronecker-vectorized
+a single group.  A damped-rotation 2x2 block (every chain node) already is
+in real Schur canonical form, with exact eigenvalues; any other block gets a
+small real Schur form.  Together they make A orthogonally quasi-triangular,
+so the spectrum, and with it stability, is read off the diagonal and the
+Lyapunov equation becomes one real triangular Sylvester solve.  The solver
+takes a stack of drifts at once (``solve_steady_states``), which is how
+parameter sweeps run; the single-matrix functions are its batch of one.
+A generic Kronecker-vectorized
 solver, (I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent
 oracle.  Every returned matrix is checked against the residual contract
 ||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max).
@@ -50,12 +53,8 @@ STABILITY_MARGIN = 1e-9
 # Acceptance gates of the eigenbasis diagnostic (SpectralDecomposition).
 CONDITION_LIMIT = 1e8
 RECONSTRUCTION_RTOL = 1e-10
-# Discarded imaginary parts must be below this, relative to the result.
-IMAG_RESIDUE_RTOL = 1e-10
 # Residual contract shared by both solvers.
 RESIDUAL_RTOL = 1e-8
-# (x, p)^T = MODE_BASIS (a, a^dag)^T; unitary.
-MODE_BASIS = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -119,70 +118,103 @@ def _block_order(a: np.ndarray) -> tuple:
     return order, np.r_[0, edges], np.r_[edges, dim]
 
 
-def _block_schur(a: np.ndarray) -> tuple:
-    """Block triangular form of ``a`` with a complex Schur form per block.
+def _pattern_classes(a: np.ndarray) -> list:
+    """Indices of the matrices of the stack ``a`` grouped by nonzero
+    pattern, so every group shares one block order."""
+    classes: dict = {}
+    for b, key in enumerate(np.packbits(a != 0, axis=-1).reshape(a.shape[0], -1)):
+        classes.setdefault(key.tobytes(), []).append(b)
+    return [np.array(members) for members in classes.values()]
 
-    Returns (order, permuted, groups): permuted = a[order][:, order] is block
-    upper-triangular, and each group (idx, t, z) stacks diagonal blocks with
-    permuted[idx[k]][:, idx[k]] = z[k] t[k] z[k]^H, t[k] upper triangular
-    and z[k] unitary.  The damped rotations [[alpha, beta], [-beta, alpha]]
-    (every chain node) form one group: they are diagonal in the mode basis
-    (a, a^dag), with the exact eigenvalues alpha -+ i beta.  Every other
-    block is a group of its own, through scipy's complex Schur form.
+
+def _schur(block: np.ndarray) -> tuple:
+    """Real Schur form (t, z) of one block, block = z t z^T (LAPACK dgees)."""
+    t, _, _, _, z, _, info = scipy.linalg.lapack.dgees(
+        _unsorted, block, lwork=max(1, 3 * block.shape[0])
+    )
+    if info != 0:
+        raise EigenFailureError(f"Schur decomposition failed (LAPACK info {info})")
+    return t, z
+
+
+def _unsorted(*_eigenvalue) -> bool:
+    """Selection callback that dgees requires even when it does not sort."""
+    return False
+
+
+def _block_schur(a: np.ndarray) -> tuple:
+    """Real block Schur form of a stack ``a`` (B, n, n) whose matrices share
+    one nonzero pattern.
+
+    Returns (order, u, groups).  u[b] = Z_b^T a[b][order][:, order] Z_b is
+    quasi upper triangular in Schur canonical form (1x1 blocks and 2x2
+    blocks [[alpha, beta], [gamma, alpha]] with beta gamma < 0), so its
+    diagonal holds the real parts of the eigenvalues.  Z_b is orthogonal and
+    block diagonal over the blocks of the order.  It is the identity on
+    1x1 blocks and on damped rotations [[alpha, beta], [-beta, alpha]]
+    (every chain node), which already are canonical, with the exact
+    eigenvalues alpha -+ i beta; every other block gets a real Schur form
+    (LAPACK dgees).  Each group (lo, hi, z) is one block [lo, hi) that some matrix
+    of the stack transforms, with Z_b[lo:hi, lo:hi] = z[b].
     """
     if not np.isfinite(a).all():
         raise EigenFailureError("matrix has non-finite entries")
-    order, starts, stops = _block_order(a)
-    permuted = a[np.ix_(order, order)]
-    pairs = starts[stops - starts == 2]
-    alpha, beta = permuted[pairs, pairs], permuted[pairs, pairs + 1]
-    rotating = (permuted[pairs + 1, pairs + 1] == alpha) & (
-        permuted[pairs + 1, pairs] == -beta
-    )
+    order, starts, stops = _block_order(a[0])
+    u = a[:, order][:, :, order]
     groups = []
-    if rotating.any():
-        eigs = alpha[rotating] - 1j * beta[rotating]
-        t = np.zeros((eigs.size, 2, 2), dtype=complex)
-        t[:, 0, 0], t[:, 1, 1] = eigs, eigs.conj()
-        idx = pairs[rotating, None] + np.arange(2)
-        groups.append((idx, t, np.broadcast_to(MODE_BASIS, t.shape)))
-    done = set(pairs[rotating].tolist())
     for lo, hi in zip(starts.tolist(), stops.tolist()):
-        if lo in done:
+        block = u[:, lo:hi, lo:hi]
+        if hi - lo == 1:
             continue
-        try:
-            t, z = scipy.linalg.schur(permuted[lo:hi, lo:hi], output="complex")
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailureError(f"Schur decomposition failed: {exc}") from exc
-        groups.append((np.arange(lo, hi)[None], t[None], z[None]))
-    return order, permuted, groups
+        canonical = np.zeros(a.shape[0], dtype=bool)
+        if hi - lo == 2:
+            canonical = (block[:, 1, 1] == block[:, 0, 0]) & (
+                block[:, 1, 0] == -block[:, 0, 1]
+            )
+        if canonical.all():
+            continue
+        t = block.copy()
+        z = np.zeros_like(t)
+        z[:] = np.eye(hi - lo)
+        for b in np.flatnonzero(~canonical).tolist():
+            t[b], z[b] = _schur(block[b])
+        groups.append((lo, hi, z))
+        u = _congruence([groups[-1]], u)
+        u[:, lo:hi, lo:hi] = t
+    return order, u, groups
 
 
-def _abscissa(groups) -> float:
-    return max(
-        float(np.diagonal(t, axis1=1, axis2=2).real.max()) for _, t, _ in groups
-    )
+def _congruence(groups, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Z^T x Z for each matrix of the stack ``x``, or Z x Z^T with
+    ``inverse``, where Z is the block-diagonal orthogonal matrix of
+    ``groups`` (identity outside them)."""
+    x = x.copy()
+    for lo, hi, z in groups:
+        left = z if inverse else _transpose(z)
+        x[:, lo:hi] = left @ x[:, lo:hi]
+        x[:, :, lo:hi] = x[:, :, lo:hi] @ _transpose(left)
+    return x
 
 
-def _blockwise(factors, x: np.ndarray) -> np.ndarray:
-    """Block-diagonal product: for each (idx, mats) of ``factors`` the rows
-    idx[k] of the result are mats[k] @ x[idx[k]]."""
-    out = np.empty(x.shape, dtype=complex)
-    for idx, mats in factors:
-        out[idx] = mats @ x[idx]
-    return out
+def _abscissa(u: np.ndarray) -> np.ndarray:
+    """Spectral abscissa of every matrix of a stack in real Schur form."""
+    return np.diagonal(u, axis1=1, axis2=2).max(axis=1)
+
+
+def _transpose(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
 
 
 def spectral_abscissa(a: np.ndarray) -> float:
     """Largest real part of the eigenvalues of ``a``.
 
     Read off the diagonal blocks of the block-triangular form of ``a``:
-    exactly for damped rotations, from a small complex Schur form
-    otherwise.  A cascade's chain nodes, whose one-way couplings make one
-    large defective cluster of the whole drift, never enter an eigensolver.
+    exactly for damped rotations, from a small real Schur form otherwise.
+    A cascade's chain nodes, whose one-way couplings make one large
+    defective cluster of the whole drift, never enter an eigensolver.
     """
-    _, _, groups = _block_schur(np.asarray(a, dtype=float))
-    return _abscissa(groups)
+    _, u, _ = _block_schur(np.asarray(a, dtype=float)[None])
+    return float(_abscissa(u)[0])
 
 
 def stability_report(a: np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityReport:
@@ -231,29 +263,26 @@ def spectral_decomposition(a: np.ndarray) -> SpectralDecomposition:
     )
 
 
-def _residual(a: np.ndarray, v: np.ndarray, noise: np.ndarray) -> float:
-    return float(np.abs(a @ v + v @ a.T + noise).max())
+def _residual_errors(a: np.ndarray, v: np.ndarray, noise: np.ndarray, label: str) -> list:
+    """For each matrix of the stacks, None or the ResidualTooLargeError of a
+    steady state that violates the residual contract."""
+    limits = RESIDUAL_RTOL * np.maximum(1.0, np.abs(noise).max(axis=(-2, -1)))
+    res = np.abs(a @ v + v @ _transpose(a) + noise).max(axis=(-2, -1))
+    return [
+        None
+        if r <= limit
+        else ResidualTooLargeError(
+            f"{label} steady state violates the residual contract: "
+            f"{r:.3e} > {limit:.3e}"
+        )
+        for r, limit in zip(res.tolist(), np.broadcast_to(limits, res.shape).tolist())
+    ]
 
 
 def _check_residual(a: np.ndarray, v: np.ndarray, noise: np.ndarray, label: str) -> None:
-    limit = RESIDUAL_RTOL * max(1.0, float(np.abs(noise).max()))
-    res = _residual(a, v, noise)
-    if res > limit:
-        raise ResidualTooLargeError(
-            f"{label} steady state violates the residual contract: "
-            f"{res:.3e} > {limit:.3e}"
-        )
-
-
-def _discard_imaginary(v: np.ndarray, label: str) -> np.ndarray:
-    real = v.real
-    imag = float(np.abs(v.imag).max()) if np.iscomplexobj(v) else 0.0
-    limit = IMAG_RESIDUE_RTOL * max(1.0, float(np.abs(real).max()))
-    if imag > limit:
-        raise ResidualTooLargeError(
-            f"{label}: imaginary residue {imag:.3e} exceeds {limit:.3e}"
-        )
-    return np.array(real, dtype=float)
+    error = _residual_errors(a[None], v[None], noise[None], label)[0]
+    if error is not None:
+        raise error
 
 
 def solve_steady_state_vectorized(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -310,51 +339,96 @@ def solve_steady_state_vectorized(a: np.ndarray, noise: np.ndarray) -> np.ndarra
 def solve_steady_state_spectral(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Steady state by one structured Bartels-Stewart solve.
 
-    With P the block order of A and Q = blkdiag(zs) its per-block Schur
-    bases, U = Q^H A[P][:, P] Q is upper triangular and its diagonal is the
-    spectrum of A, so stability is decided on it.  In the shifted variable
-    D = V - I, with right-hand side C = -(N + A + A^T), the equation
-    A D + D A^T = C becomes U Y + Y U^T = Q^H C[P][:, P] conj(Q) for
-    D[P][:, P] = Q Y Q^T: one triangular Sylvester solve (LAPACK ztrsyl).
-    The shift is exact for networks whose steady state is the vacuum (C
-    vanishes identically, so V = I bitwise), and since a block only ever
-    sees the blocks it depends on, nodes upstream of the source come out
-    bitwise independent of the source's parameters.  The result has its
-    imaginary round-off discarded after a magnitude check and is
-    symmetrized.
+    With P the block order of A and Z = blkdiag(zs) its per-block real Schur
+    bases, U = Z^T A[P][:, P] Z is quasi upper triangular and its diagonal
+    holds the real parts of the spectrum of A, so stability is decided on
+    it.  In the shifted variable D = V - I, with right-hand side
+    C = -(N + A + A^T), the equation A D + D A^T = C becomes
+    U Y + Y U^T = Z^T C[P][:, P] Z for D[P][:, P] = Z Y Z^T: one real
+    triangular Sylvester solve (LAPACK dtrsyl).  The shift is exact for
+    networks whose steady state is the vacuum (C vanishes identically, so
+    V = I bitwise), and since a block only ever sees the blocks it depends
+    on, nodes upstream of the source come out bitwise independent of the
+    source's parameters.  The result is symmetrized.  This is
+    ``solve_steady_states`` on a stack of one.
 
     Raises UnstableError when the spectral abscissa is >= 0 (no decaying
     fixed point), SingularSystemError when LAPACK reports a near-singular
     Sylvester operator, and ResidualTooLargeError when the computed matrix
     fails the residual contract.
     """
+    _, states, errors = solve_steady_states(np.asarray(a, dtype=float)[None], noise)
+    if errors[0] is not None:
+        raise errors[0]
+    return states[0]
+
+
+def solve_steady_states(a: np.ndarray, noise: np.ndarray, cutoff: float = 0.0) -> tuple:
+    """Structured steady states of a stack of drifts ``a`` (B, n, n) under
+    one diffusion ``noise`` (n, n) or one per drift (B, n, n).
+
+    The drifts are grouped by nonzero pattern and each group's block form
+    (see ``solve_steady_state_spectral``) is built once.  It gives every
+    drift's spectral abscissa, and the drifts whose abscissa is below
+    ``cutoff`` (at most 0) go on to the triangular Sylvester solve, one
+    dtrsyl call each; every other step acts on the whole stack at once.
+    Each drift's result depends on that drift alone, never on the rest of
+    the stack.
+
+    Returns (abscissa, states, errors): abscissa has shape (B,); errors[b]
+    is None or the error ``solve_steady_state_spectral`` raises for drift b
+    (UnstableError when its abscissa is not below ``cutoff``); states[b] is
+    its steady state where errors[b] is None and undefined otherwise.
+    """
     a = np.asarray(a, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    order, permuted, groups = _block_schur(a)
-    if _abscissa(groups) >= 0.0:
-        raise UnstableError(
-            "dynamics has no decaying steady state (spectral abscissa >= 0)"
-        )
-    q = [(idx, z) for idx, _, z in groups]
-    q_t = [(idx, z.swapaxes(1, 2)) for idx, _, z in groups]
-    q_h = [(idx, z.conj().swapaxes(1, 2)) for idx, _, z in groups]
-    u = _blockwise(q_h, _blockwise(q_t, permuted.T).T)
-    for idx, t, _ in groups:
-        u[idx[:, :, None], idx[:, None, :]] = t
-    rhs = -(noise + a + a.T)[np.ix_(order, order)]
-    c = _blockwise(q_h, _blockwise(q_h, rhs.T).T)
-    y, scale, info = scipy.linalg.lapack.ztrsyl(u, u.conj(), c, tranb="C")
-    if info != 0:
-        raise SingularSystemError(
-            f"triangular Sylvester solve failed (LAPACK info {info})"
-        )
-    y /= scale
+    noise = np.broadcast_to(np.asarray(noise, dtype=float), a.shape)
+    abscissa = np.empty(a.shape[0])
+    states = np.zeros(a.shape)
+    errors = [None] * a.shape[0]
+    for members in _pattern_classes(a):
+        order, u, groups = _block_schur(a[members])
+        abscissa[members] = _abscissa(u)
+        live = abscissa[members] < cutoff
+        for b in members[~live].tolist():
+            errors[b] = UnstableError(
+                "dynamics has no decaying steady state "
+                f"(spectral abscissa {abscissa[b]:.3e} >= {cutoff:.3g})"
+            )
+        if live.any():
+            solved = members[live]
+            states[solved], failures = _sylvester(
+                a[solved],
+                noise[solved],
+                order,
+                u[live],
+                [(lo, hi, z[live]) for lo, hi, z in groups],
+            )
+            for b, error in zip(solved.tolist(), failures):
+                errors[b] = error
+    return abscissa, states, errors
+
+
+def _sylvester(a, noise, order, u, groups) -> tuple:
+    """Steady states of a stack of stable drifts from their shared block
+    form; returns (states, errors) with errors[b] None or an EntflowError."""
+    rhs = -(noise + a + _transpose(a))[:, order][:, :, order]
+    c = _congruence(groups, rhs)
+    errors = [None] * a.shape[0]
+    y = np.zeros_like(c)
+    for b in range(a.shape[0]):
+        y_b, scale, info = scipy.linalg.lapack.dtrsyl(u[b], u[b], c[b], tranb="T")
+        if info != 0:
+            errors[b] = SingularSystemError(
+                f"triangular Sylvester solve failed (LAPACK info {info})"
+            )
+        else:
+            y[b] = y_b / scale
     inverse = np.argsort(order)
-    deviation = _blockwise(q, _blockwise(q, y.T).T)[np.ix_(inverse, inverse)]
-    v = np.eye(a.shape[0]) + _discard_imaginary(deviation, "structured")
-    v = (v + v.T) / 2.0
-    _check_residual(a, v, noise, "structured")
-    return v
+    deviation = _congruence(groups, y, inverse=True)[:, inverse][:, :, inverse]
+    v = np.eye(a.shape[-1]) + deviation
+    v = (v + _transpose(v)) / 2.0
+    residual = _residual_errors(a, v, noise, "structured")
+    return v, [error or late for error, late in zip(errors, residual)]
 
 
 def evolve_covariance(

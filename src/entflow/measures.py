@@ -18,6 +18,7 @@ import scipy.constants
 from .errors import (
     ComplexEigenvalueError,
     EigenFailureError,
+    EntflowError,
     NonpositiveOccupationError,
 )
 
@@ -68,7 +69,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _check_mode_index(v: np.ndarray, k: int) -> None:
-    n_modes = v.shape[0] // 2
+    n_modes = v.shape[-1] // 2
     if not 0 <= k < n_modes:
         raise IndexError(f"mode index {k} out of range for {n_modes} modes")
 
@@ -107,6 +108,30 @@ def _two_mode_matrix(tm) -> np.ndarray:
     return arr
 
 
+def _pt_spectrum(sigma: np.ndarray) -> tuple:
+    """Smallest partially transposed symplectic eigenvalue of a stack of
+    two-mode states ``sigma`` (..., 4, 4), normalized as V/2, with the two
+    discriminants that must not go negative and their round-off floor.
+
+    Returns (nu, inner, nu_sq, floor), each of the stack's shape.
+    """
+    det_k = np.linalg.det(sigma[..., 0:2, 0:2])
+    det_m = np.linalg.det(sigma[..., 2:4, 2:4])
+    det_c = np.linalg.det(sigma[..., 0:2, 2:4])
+    det_s = np.linalg.det(sigma)
+    delta = det_k + det_m - 2.0 * det_c
+    inner = delta * delta - 4.0 * det_s
+    floor = -_DISCRIMINANT_RTOL * np.maximum(1.0, delta * delta)
+    nu_sq = (delta - np.sqrt(np.maximum(inner, 0.0))) / 2.0
+    return np.sqrt(np.maximum(nu_sq, 0.0)), inner, nu_sq, floor
+
+
+def _log_negativity(nu):
+    with np.errstate(divide="ignore"):
+        value = -np.log(2.0 * nu)
+    return np.where(value > 0.0, value, 0.0)  # +0.0 for separable states, never -0.0
+
+
 def ppt_symplectic_min(tm) -> float:
     """Smallest symplectic eigenvalue of the partially transposed two-mode
     state; the state is separable iff this is >= 1/2.
@@ -120,41 +145,47 @@ def ppt_symplectic_min(tm) -> float:
     Raises ComplexEigenvalueError when a discriminant is negative beyond
     round-off, which happens exactly when the input is not a physical state.
     """
-    sigma = _two_mode_matrix(tm) / 2.0
-    det_k = float(np.linalg.det(sigma[0:2, 0:2]))
-    det_m = float(np.linalg.det(sigma[2:4, 2:4]))
-    det_c = float(np.linalg.det(sigma[0:2, 2:4]))
-    det_s = float(np.linalg.det(sigma))
-    delta = det_k + det_m - 2.0 * det_c
-
-    inner = delta * delta - 4.0 * det_s
-    floor = -_DISCRIMINANT_RTOL * max(1.0, delta * delta)
+    nu, inner, nu_sq, floor = _pt_spectrum(_two_mode_matrix(tm) / 2.0)
     if inner < floor:
         raise ComplexEigenvalueError(
             f"partially transposed spectrum is complex (discriminant {inner:.3e}); "
             "the input is not a physical two-mode covariance matrix"
         )
-    nu_sq = (delta - math.sqrt(max(inner, 0.0))) / 2.0
     if nu_sq < floor:
         raise ComplexEigenvalueError(
             f"partially transposed spectrum is imaginary (nu^2 = {nu_sq:.3e}); "
             "the input is not a physical two-mode covariance matrix"
         )
-    return math.sqrt(max(nu_sq, 0.0))
+    return float(nu)
 
 
 def log_negativity(tm) -> EntanglementRecord:
     """Logarithmic negativity E_N = max(0, -ln(2 nu_minus)) of a two-mode state."""
     nu = ppt_symplectic_min(tm)
-    if nu <= 0.0:
-        value = math.inf
-    else:
-        value = max(0.0, -math.log(2.0 * nu))
     return EntanglementRecord(
         nu_minus=nu,
-        log_negativity=value,
+        log_negativity=float(_log_negativity(nu)),
         separable=(nu >= 0.5),
     )
+
+
+def pair_log_negativities(v: np.ndarray, k: int, nodes) -> np.ndarray:
+    """E_N between mode k and each mode of ``nodes``, for every covariance
+    matrix of the stack ``v`` (B, n, n); shape (B, len(nodes)).
+
+    The closed form of ``log_negativity`` on all pairs at once.  A pair
+    whose partially transposed spectrum is complex comes back NaN;
+    ``log_negativity`` raises ComplexEigenvalueError on that pair.
+    """
+    v = np.asarray(v, dtype=float)
+    for m in (k, *nodes):
+        _check_mode_index(v, m)
+    modes = np.array([[2 * k, 2 * k + 1, 2 * m, 2 * m + 1] for m in nodes])
+    sigma = v[:, modes[:, :, None], modes[:, None, :]] / 2.0
+    nu, inner, nu_sq, floor = _pt_spectrum(sigma)
+    en = _log_negativity(nu)
+    en[(inner < floor) | (nu_sq < floor)] = np.nan
+    return en
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
@@ -194,6 +225,49 @@ def check_physical(v: np.ndarray, atol: float = 1e-8) -> PhysicalityReport:
         min_eigenvalue=min_eig,
         min_symplectic=min_nu,
     )
+
+
+def physicality(v: np.ndarray, atol: float = 1e-8) -> tuple:
+    """``check_physical(v[b], atol).physical`` for every covariance matrix of
+    the stack ``v`` (B, n, n), as (flags, errors).
+
+    Where sigma = V/2 has a Cholesky factor L (sigma = L L^T, so V is
+    positive definite), the symplectic eigenvalues are the moduli of the
+    eigenvalues of the Hermitian form L^T (i Omega) L, similar to
+    i Omega sigma; they come from one batched eigvalsh.  Every other matrix
+    goes through ``check_physical``; errors[b] holds what it raised, and is
+    None otherwise.
+    """
+    v = np.asarray(v, dtype=float)
+    sym = (v + v.swapaxes(-1, -2)) / 2.0
+    tol = atol * np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
+    try:
+        chol = np.linalg.cholesky(sym / 2.0)
+        factored = np.ones(v.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        chol = np.zeros_like(sym)
+        factored = np.zeros(v.shape[0], dtype=bool)
+        for b in range(v.shape[0]):
+            try:
+                chol[b] = np.linalg.cholesky(sym[b] / 2.0)
+                factored[b] = True
+            except np.linalg.LinAlgError:
+                pass
+    omega_chol = np.empty_like(chol)  # Omega L
+    omega_chol[:, 0::2] = chol[:, 1::2]
+    omega_chol[:, 1::2] = -chol[:, 0::2]
+    form = 1j * (chol.swapaxes(-1, -2) @ omega_chol)
+    flags = np.zeros(v.shape[0], dtype=bool)
+    errors = [None] * v.shape[0]
+    if factored.any():
+        nu = np.abs(np.linalg.eigvalsh(form[factored])).min(axis=1)
+        flags[factored] = nu >= 0.5 - tol[factored]
+    for b in np.flatnonzero(~factored).tolist():
+        try:
+            flags[b] = check_physical(v[b], atol).physical
+        except EntflowError as exc:
+            errors[b] = exc
+    return flags, errors
 
 
 def mean_occupation(v: np.ndarray, k: int) -> float:

@@ -157,7 +157,9 @@ def config_violations(cfg: NetworkConfig) -> list:
 
     for name in ("r", "j", "gamma", "gamma_out"):
         value = float(getattr(cfg, name))
-        if value < 0:
+        if not math.isfinite(value):
+            problems.append(ConfigError(f"{name} must be finite, got {value}"))
+        elif value < 0:
             problems.append(NegativeRateError(f"{name} must be >= 0, got {value}"))
 
     m = int(cfg.M)
@@ -174,6 +176,10 @@ def config_violations(cfg: NetworkConfig) -> list:
             if values.shape != (expected,):
                 problems.append(LengthMismatchError(name, expected, values.size))
                 continue
+        if not np.isfinite(values).all():
+            bad = values[~np.isfinite(values)]
+            problems.append(ConfigError(f"{name} entries must be finite, got {bad[0]}"))
+            continue
         bad = values[values < 0]
         if bad.size:
             problems.append(
@@ -259,19 +265,32 @@ def build_dynamical_matrix(net: ValidatedNetwork) -> np.ndarray:
     the source coupling j*i*sigma_y sits at the chain head (Forward) or
     tail (Backward), symmetrically in both blocks.
     """
+    return build_drift_stack(net, [net.r], [net.j])[0]
+
+
+def build_drift_stack(net: ValidatedNetwork, r, j) -> np.ndarray:
+    """Drift matrices of ``net`` with its squeezing and source coupling
+    replaced by each pair (r[b], j[b]); shape (B, 2(M+1), 2(M+1)).
+
+    Entry b is bitwise the ``build_dynamical_matrix`` of ``net`` at
+    r = r[b], j = j[b]; only the source rows and columns differ along the
+    stack.
+    """
+    r = np.asarray(r, dtype=float)[:, None, None]
+    j = np.asarray(j, dtype=float)[:, None, None]
     m = net.M
-    a = np.zeros((net.dim, net.dim))
+    a = np.zeros((r.shape[0], net.dim, net.dim))
     for k in range(m + 1):
         block = -(node_damping(net, k) / 2.0) * I2 + net.omega[k] * I_SIGMA_Y
         if k == 0:
-            block = block - net.r * SIGMA_Z
-        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+            block = block - r * SIGMA_Z
+        a[:, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
     for k in range(2, m + 1):
-        a[2 * k : 2 * k + 2, 2 * k - 2 : 2 * k] = -net.gamma * I2
-    coupling = net.j * I_SIGMA_Y
+        a[:, 2 * k : 2 * k + 2, 2 * k - 2 : 2 * k] = -net.gamma * I2
+    coupling = j * I_SIGMA_Y
     end = 1 if net.direction is Direction.FORWARD else m
-    a[0:2, 2 * end : 2 * end + 2] += coupling
-    a[2 * end : 2 * end + 2, 0:2] += coupling
+    a[:, 0:2, 2 * end : 2 * end + 2] += coupling
+    a[:, 2 * end : 2 * end + 2, 0:2] += coupling
     return a
 
 

@@ -6,39 +6,49 @@ entanglement between the source and the probe nodes, how deep entanglement
 reaches into the chain, and the occupation of the deepest entangled node.
 Unstable points carry no steady-state quantities (empty CSV cells).
 
-Everything here is deterministic: no randomness, no timestamps, and worker
-threads only change wall time, never output bytes.
+Only the source block of the drift depends on (r, j), so the grid is
+carried as a leading batch axis: one stack of drifts, one block order per
+nonzero pattern, stability from the same per-block factorization the solve
+uses, a triangular Sylvester solve for the stable points only, and every
+measure on every (point, node) pair from stacked closed forms.  The batch
+is cut into slices under a fixed working-set budget.  ``run_point`` is the
+same engine on a batch of one, and a point's result never depends on the
+batch it was computed in.
+
+Everything here is deterministic: no randomness, no timestamps.  The
+``workers`` argument of ``sweep_grid`` (the CLI's ``--threads``) is
+accepted and ignored; the batched engine runs in the calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EntflowError, MissingDirectionError
-from .lyapunov import (
-    solve_steady_state_spectral,
-    stability_report,
-)
+from .errors import ConfigError, EntflowError, MissingDirectionError
+from .lyapunov import STABILITY_MARGIN, solve_steady_states
 from .measures import (
-    check_physical,
     log_negativity,
-    mean_occupation,
+    pair_log_negativities,
+    physicality,
     reduce_two_mode,
 )
 from .network import (
     Direction,
     NetworkConfig,
     ValidatedNetwork,
-    build_dynamical_matrix,
+    build_drift_stack,
     build_noise_matrix,
     validate_config,
 )
 
 # E_N at or below this counts as no entanglement (numerical zero).
 ENTANGLEMENT_THRESHOLD = 1e-10
+# Working set of one batch slice in bytes, counting ten (2M+2)x(2M+2)
+# matrices of 16-byte entries per point (more than the engine holds); from
+# M = 40 on, a slice is a single point.
+_BATCH_BYTES = 2 << 20
 
 FIGURE_NAMES = ("nonreciprocity", "depth", "occupation", "stability")
 
@@ -99,57 +109,100 @@ def max_entangled_node(v: np.ndarray, threshold: float = ENTANGLEMENT_THRESHOLD)
     ``threshold``; 0 when no node is entangled.
 
     Scans every node rather than assuming entanglement depth is contiguous.
+    Raises ComplexEigenvalueError for the first pair whose partially
+    transposed spectrum is complex.
     """
-    n_chain = v.shape[0] // 2 - 1
-    deepest = 0
-    for m in range(1, n_chain + 1):
-        record = log_negativity(reduce_two_mode(v, 0, m))
-        if record.log_negativity > threshold:
-            deepest = m
-    return deepest
+    nodes = list(range(1, v.shape[0] // 2))
+    en = pair_log_negativities(np.asarray(v, dtype=float)[None], 0, nodes)
+    failed = np.flatnonzero(np.isnan(en[0]))
+    if failed.size:
+        log_negativity(reduce_two_mode(v, 0, nodes[failed[0]]))
+    return _deepest(en, threshold)[0]
+
+
+def _deepest(en: np.ndarray, threshold: float) -> list:
+    """Per row of E_N over nodes 1..M, the deepest node above threshold."""
+    above = en > threshold
+    depth = above.shape[1] - np.argmax(above[:, ::-1], axis=1)
+    return np.where(above.any(axis=1), depth, 0).tolist()
+
+
+def _summaries(net: ValidatedNetwork, r: np.ndarray, j: np.ndarray) -> list:
+    """PointResults of ``net`` at the points (r[b], j[b]), in one batch.
+
+    Unstable dynamics is a finding, not an error: such a point comes back
+    with stable = False and no steady-state fields.  Solver and measure
+    failures of a stable point go to its ``solver_error``, with the message
+    the single-point functions raise, the first one in the order solve,
+    physicality, pair entanglement.
+    """
+    abscissa, states, errors = solve_steady_states(
+        build_drift_stack(net, r, j), build_noise_matrix(net), -STABILITY_MARGIN
+    )
+    stable = abscissa < -STABILITY_MARGIN
+    solved = [b for b in np.flatnonzero(stable).tolist() if errors[b] is None]
+    v = states[solved]
+    physical, physical_errors = physicality(v)
+    for b, error in zip(solved, physical_errors):
+        errors[b] = error
+
+    # source pairs in the order the summary reports them: the near and far
+    # probes, then (forward) every node for the depth scan
+    forward = net.direction is Direction.FORWARD
+    probes = [2, net.M - 1] if net.M >= 2 else []
+    nodes = probes + (list(range(1, net.M + 1)) if forward else [])
+    en = pair_log_negativities(v, 0, nodes) if nodes else np.empty((len(solved), 0))
+    for row in np.flatnonzero(np.isnan(en).any(axis=1)).tolist():
+        b = solved[row]
+        try:  # raises the error of the first failed pair
+            log_negativity(reduce_two_mode(v[row], 0, nodes[np.argmax(np.isnan(en[row]))]))
+        except EntflowError as exc:
+            errors[b] = errors[b] or exc
+    if forward:
+        m_max = _deepest(en[:, len(probes) :], ENTANGLEMENT_THRESHOLD)
+        k = 2 * np.array(m_max, dtype=int)
+        rows = np.arange(len(solved))
+        nbar = ((v[rows, k, k] + v[rows, k + 1, k + 1] - 2.0) / 4.0).tolist()
+
+    row_of = {b: row for row, b in enumerate(solved)}
+    results = []
+    for b in range(abscissa.size):
+        fields = dict(
+            r_over_omega=float(r[b]),
+            j_over_omega=float(j[b]),
+            direction=net.direction,
+            stable=bool(stable[b]),
+            physical=False,
+            spectral_abscissa=float(abscissa[b]),
+        )
+        if stable[b] and errors[b] is not None:
+            fields["solver_error"] = f"{type(errors[b]).__name__}: {errors[b]}"
+        elif stable[b]:
+            row = row_of[b]
+            pairs = en[row, : len(probes)].tolist() or [None, None]
+            fields.update(
+                physical=bool(physical[row]),
+                en_forward_pair=pairs[0],
+                en_backward_pair=pairs[1],
+            )
+            if forward:
+                fields.update(
+                    m_max=m_max[row],
+                    nbar_at_mmax=nbar[row] if m_max[row] >= 1 else None,
+                )
+        results.append(PointResult(**fields))
+    return results
 
 
 def run_point(net: ValidatedNetwork) -> PointResult:
-    """Solve one operating point and summarize it.
+    """Solve one operating point and summarize it: the sweep engine on a
+    batch of one.
 
     Unstable dynamics is a finding, not an error: the point comes back with
     stable = False and no steady-state fields.  Solver failures on stable
     points are captured in ``solver_error`` instead of propagating.
     """
-    a = build_dynamical_matrix(net)
-    report = stability_report(a)
-    base = dict(
-        r_over_omega=net.r,
-        j_over_omega=net.j,
-        direction=net.direction,
-        stable=report.stable,
-        physical=False,
-        spectral_abscissa=report.spectral_abscissa,
-    )
-    if not report.stable:
-        return PointResult(**base)
-
-    try:
-        v = solve_steady_state_spectral(a, build_noise_matrix(net))
-        physical = check_physical(v).physical
-        en_fwd = en_bwd = None
-        if net.M >= 2:
-            en_fwd = log_negativity(reduce_two_mode(v, 0, 2)).log_negativity
-            en_bwd = log_negativity(reduce_two_mode(v, 0, net.M - 1)).log_negativity
-        m_max = nbar = None
-        if net.direction is Direction.FORWARD:
-            m_max = max_entangled_node(v)
-            nbar = mean_occupation(v, m_max) if m_max >= 1 else None
-    except EntflowError as exc:
-        return PointResult(**base, solver_error=f"{type(exc).__name__}: {exc}")
-
-    return PointResult(
-        **{**base, "physical": physical},
-        en_forward_pair=en_fwd,
-        en_backward_pair=en_bwd,
-        m_max=m_max,
-        nbar_at_mmax=nbar,
-    )
+    return _summaries(net, np.array([net.r]), np.array([net.j]))[0]
 
 
 def sweep_grid(
@@ -162,31 +215,30 @@ def sweep_grid(
     """Evaluate run_point on the cartesian grid r_values x j_values.
 
     ``direction`` overrides the base configuration's direction when given.
-    ``workers`` > 1 distributes points over threads (the dense solves release
-    the GIL); results are identical to the serial order regardless.
+    The grid runs through the batched engine in slices of at most a fixed
+    working set; each point's result is the one run_point gives for it.
+    ``workers`` is accepted for compatibility and changes nothing.
     """
     r_values = np.asarray(r_values, dtype=float)
     j_values = np.asarray(j_values, dtype=float)
     if r_values.size == 0 or j_values.size == 0:
         raise ValueError("sweep grids must be nonempty")
+    if not (np.isfinite(r_values).all() and np.isfinite(j_values).all()):
+        raise ConfigError("sweep grid values must be finite")
     if (r_values < 0).any() or (j_values < 0).any():
         raise ValueError("sweep grid values must be >= 0")
     direction = base.direction if direction is None else direction
 
-    configs = [
-        replace(base, r=float(rv), j=float(jv), direction=direction)
-        for rv in r_values
-        for jv in j_values
-    ]
-
-    def solve(cfg: NetworkConfig) -> PointResult:
-        return run_point(validate_config(cfg))
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(solve, configs))
-    else:
-        flat = [solve(cfg) for cfg in configs]
+    # the first point's configuration, so an invalid base fails as it would there
+    net = validate_config(
+        replace(base, r=float(r_values[0]), j=float(j_values[0]), direction=direction)
+    )
+    r_flat = np.repeat(r_values, j_values.size) / net.frequency_scale
+    j_flat = np.tile(j_values, r_values.size) / net.frequency_scale
+    step = max(1, _BATCH_BYTES // (10 * 16 * net.dim * net.dim))
+    flat = []
+    for lo in range(0, r_flat.size, step):
+        flat.extend(_summaries(net, r_flat[lo : lo + step], j_flat[lo : lo + step]))
 
     n_j = j_values.size
     rows = tuple(tuple(flat[i * n_j : (i + 1) * n_j]) for i in range(r_values.size))

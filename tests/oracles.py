@@ -161,3 +161,34 @@ def rotation_block(theta: float) -> np.ndarray:
     """Single-mode phase-space rotation; symplectic and orthogonal."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
+
+
+def abscissa_from_blocks(a: np.ndarray, net: ValidatedNetwork) -> float:
+    """Spectral abscissa of a chain drift from its diagonal blocks.
+
+    Ordered as (0, end), then the other chain nodes, the drift is block
+    triangular: the 4x4 block of the source and the chain end it couples to
+    goes through numpy's dense eigenvalues, and every other node's 2x2
+    block is a damped rotation whose eigenvalues have its diagonal entry as
+    real part.
+    """
+    end = 1 if net.direction is Direction.FORWARD else net.M
+    source = [0, 1, 2 * end, 2 * end + 1]
+    values = [float(np.linalg.eigvals(a[np.ix_(source, source)]).real.max())]
+    values += [float(a[2 * k, 2 * k]) for k in range(1, net.M + 1) if k != end]
+    return max(values)
+
+
+def physical_by_eigenvalues(v: np.ndarray, atol: float = 1e-8) -> bool:
+    """V >= 0 and every |eig(i Omega V/2)| >= 1/2, up to atol times the
+    largest entry."""
+    tol = atol * max(1.0, float(np.abs(v).max()))
+    n_modes = v.shape[0] // 2
+    nus = np.abs(np.linalg.eigvals(1.0j * omega_form(n_modes) @ v / 2.0))
+    return bool(np.linalg.eigvalsh(v).min() >= -tol and nus.min() >= 0.5 - tol)
+
+
+def log_negativity_by_eigenvalues(v: np.ndarray, k: int, m: int) -> float:
+    """E_N between modes k and m from the partially transposed spectrum."""
+    idx = [2 * k, 2 * k + 1, 2 * m, 2 * m + 1]
+    return max(0.0, -float(np.log(2.0 * ppt_nu_min_eigen(v[np.ix_(idx, idx)]))))

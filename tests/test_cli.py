@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -114,6 +115,28 @@ def test_point_invalid_parameters_exit_2(capsys):
     assert "r" in err
 
 
+@pytest.mark.parametrize("flag", ["--r=nan", "--j=inf", "--r=-inf"])
+def test_point_non_finite_parameters_exit_2(capsys, flag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "point", flag)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert f"{flag[2]} must be finite" in err
+
+
+@pytest.mark.parametrize("line", ["r = nan", "gamma = inf", "omega = 1, nan, 1"])
+def test_point_non_finite_config_file_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "net.cfg"
+    path.write_text(f"M = 2\n{line}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "point", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # figure
 
@@ -189,6 +212,9 @@ def test_figure_stability_at_exceptional_point(tmp_path, capsys):
         ("figure", "depth", "--range", "1:0,0:1"),
         ("figure", "depth", "--range", "0:1"),
         ("figure", "depth", "--range=-1:1,0:1"),
+        ("figure", "depth", "--range", "nan:nan,0:1"),
+        ("figure", "depth", "--range", "0:inf,0:1"),
+        ("figure", "stability", "--range", "0:1,nan:1"),
     ],
 )
 def test_figure_flag_validation_exits_2(tmp_path, capsys, argv):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import oracles
 from entflow import (
     DEFAULT_CONFIG,
+    ConfigError,
     Direction,
     LengthMismatchError,
     NegativeRateError,
@@ -71,6 +72,29 @@ def test_negative_array_entries_rejected():
         make_net(M=3, nbar_common=(0.1, -0.5))
     with pytest.raises(NegativeRateError):
         make_net(M=2, omega=(1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("r", None),
+        ("j", None),
+        ("gamma", None),
+        ("gamma_out", None),
+        ("omega", (1.0, None, 1.0)),
+        ("nbar_local", (0.0, 0.0, None)),
+        ("nbar_common", (None,)),
+        ("omega", None),
+        ("nbar_local", None),
+    ],
+)
+def test_non_finite_values_rejected(field, value, bad):
+    value = bad if value is None else tuple(bad if x is None else x for x in value)
+    problems = config_violations(replace(DEFAULT_CONFIG, M=2, **{field: value}))
+    assert len(problems) == 1
+    assert type(problems[0]) is ConfigError
+    assert field in str(problems[0]) and "finite" in str(problems[0])
 
 
 @pytest.mark.parametrize(

@@ -11,15 +11,25 @@ import oracles
 from entflow import (
     DEFAULT_CONFIG,
     ENTANGLEMENT_THRESHOLD,
+    FIGURE_NAMES,
+    ComplexEigenvalueError,
+    ConfigError,
     Direction,
     MissingDirectionError,
+    ResidualTooLargeError,
+    SweepGrid,
+    bath_occupations,
     build_dynamical_matrix,
+    build_input_matrix,
     build_noise_matrix,
     export_csv,
     figure_dataset,
+    log_negativity,
     max_entangled_node,
+    reduce_two_mode,
     run_point,
     solve_steady_state_spectral,
+    solve_steady_states,
     sweep_grid,
     validate_config,
 )
@@ -75,6 +85,8 @@ def test_run_point_vacuum():
     assert result.spectral_abscissa < 0.0
     assert result.en_forward_pair == 0.0
     assert result.en_backward_pair == 0.0
+    # +0.0, so reports and CSVs print "0" rather than "-0"
+    assert math.copysign(1.0, result.en_forward_pair) == 1.0
     assert result.m_max == 0
     assert result.nbar_at_mmax is None
     assert result.solver_error is None
@@ -136,12 +148,13 @@ def test_backward_upstream_nodes_do_not_see_the_source(monkeypatch):
     # their covariance blocks must come out bitwise the same for every (r, j)
     states = []
 
-    def recording(a, noise):
-        v = solve_steady_state_spectral(a, noise)
-        states.append(v)
-        return v
+    def recording(a, noise, cutoff=0.0):
+        abscissa, v, errors = solve_steady_states(a, noise, cutoff)
+        states.extend(v[b] for b, error in enumerate(errors) if error is None)
+        return abscissa, v, errors
 
-    monkeypatch.setattr("entflow.sweep.solve_steady_state_spectral", recording)
+    # the sweep solves its grid in batches; record every state it solved
+    monkeypatch.setattr("entflow.sweep.solve_steady_states", recording)
     base = replace(DEFAULT_CONFIG, nbar_local=0.01, nbar_common=0.02)
     values = [0.0, 0.05, 0.2, 0.45]
     grid = sweep_grid(base, values, [0.1, 0.2, 0.5, 0.9], Direction.BACKWARD)
@@ -152,6 +165,32 @@ def test_backward_upstream_nodes_do_not_see_the_source(monkeypatch):
     assert not np.array_equal(first, np.eye(first.shape[0]))
     for v in states[1:]:
         assert np.array_equal(v[upstream, upstream], first)
+
+
+def test_point_failures_stay_with_their_point(monkeypatch):
+    # a failed solve and an unphysical state in the middle of a batch: each
+    # failure lands in its own point's solver_error, with the message the
+    # single-point functions give, and the rest of the batch is unaffected
+    planted = {}
+
+    def failing(a, noise, cutoff=0.0):
+        abscissa, v, errors = solve_steady_states(a, noise, cutoff)
+        errors[0] = ResidualTooLargeError("planted")
+        v[1][0:2, 4:6] = v[1][4:6, 0:2] = 5.0 * np.eye(2)
+        planted["state"] = v[1].copy()
+        return abscissa, v, errors
+
+    monkeypatch.setattr("entflow.sweep.solve_steady_states", failing)
+    row = sweep_grid(DEFAULT_CONFIG, [0.1], [0.2, 0.5, 0.9]).results[0]
+    with pytest.raises(ComplexEigenvalueError) as unphysical:
+        log_negativity(reduce_two_mode(planted["state"], 0, 2))
+    for point, error in zip(row, ["ResidualTooLargeError: planted",
+                                  f"ComplexEigenvalueError: {unphysical.value}"]):
+        assert point.stable and not point.physical
+        assert point.solver_error == error
+        assert point.en_forward_pair is None and point.m_max is None
+    monkeypatch.undo()
+    assert row[2] == run_point(make_net(r=0.1, j=0.9))
 
 
 def test_sweep_grid_shape_and_axes():
@@ -169,6 +208,127 @@ def test_sweep_grid_validation():
         sweep_grid(DEFAULT_CONFIG, [], [0.1])
     with pytest.raises(ValueError):
         sweep_grid(DEFAULT_CONFIG, [0.1], [-0.2, 0.1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_grid_rejects_non_finite_values(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        sweep_grid(DEFAULT_CONFIG, [0.1, bad], [0.1])
+    with pytest.raises(ConfigError, match="finite"):
+        sweep_grid(DEFAULT_CONFIG, [0.1], [bad])
+
+
+# r = 0 row, the exceptional point (0, gamma/4) and an unstable r; j = 0
+# splits the source from the chain, which changes the drift's block order
+ORACLE_R = [0.0, 0.15, 0.45, 2.0]
+ORACLE_J = [0.0, 0.1, DEFAULT_CONFIG.gamma / 4.0, 0.5, 0.9]
+
+
+def oracle_base(m, warm):
+    if not warm:
+        return replace(DEFAULT_CONFIG, M=m)
+    return replace(
+        DEFAULT_CONFIG,
+        M=m,
+        omega=tuple(1.0 + 0.04 * k for k in range(m + 1)),
+        nbar_local=tuple(0.01 * (k + 1) for k in range(m + 1)),
+        nbar_common=tuple(0.02 + 0.01 * k for k in range(m - 1)),
+    )
+
+
+def close(value, reference):
+    return abs(value - reference) <= 1e-10 + 1e-9 * abs(reference)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_sweep_matches_independent_oracles(m, direction, warm):
+    base = oracle_base(m, warm)
+    grid = sweep_grid(base, ORACLE_R, ORACLE_J, direction)
+    probes = (2, m - 1) if m >= 2 else None
+    noise = None
+    n_stable = 0
+    for row in grid.results:
+        for p in row:
+            net = validate_config(
+                replace(base, r=p.r_over_omega, j=p.j_over_omega, direction=direction)
+            )
+            a = oracles.drift_oracle(net)
+            abscissa = oracles.abscissa_from_blocks(a, net)
+            assert p.stable == (abscissa < -1e-9)
+            assert abs(p.spectral_abscissa - abscissa) <= 1e-7
+            if not p.stable:
+                assert p.en_forward_pair is None and not p.physical
+                continue
+            n_stable += 1
+            if noise is None:
+                noise = oracles.noise_element_formula(
+                    build_input_matrix(net), bath_occupations(net)
+                )
+            v = oracles.lyapunov_bartels_stewart(a, noise)
+            assert p.solver_error is None
+            assert p.physical == oracles.physical_by_eigenvalues(v)
+            if probes is None:
+                assert p.en_forward_pair is None and p.en_backward_pair is None
+            else:
+                for value, node in zip((p.en_forward_pair, p.en_backward_pair), probes):
+                    assert close(value, oracles.log_negativity_by_eigenvalues(v, 0, node))
+            if direction is Direction.FORWARD:
+                en = [oracles.log_negativity_by_eigenvalues(v, 0, k) for k in range(1, m + 1)]
+                deepest = max(
+                    (k for k, e in enumerate(en, 1) if e > ENTANGLEMENT_THRESHOLD), default=0
+                )
+                if all(abs(e - ENTANGLEMENT_THRESHOLD) > 1e-11 for e in en):
+                    assert p.m_max == deepest
+                if p.m_max:
+                    k = 2 * p.m_max
+                    assert close(p.nbar_at_mmax, (v[k, k] + v[k + 1, k + 1] - 2.0) / 4.0)
+            else:
+                assert p.m_max is None and p.nbar_at_mmax is None
+    assert n_stable >= 10
+
+
+def csv_tables(grids, directory):
+    tables = {}
+    for name in FIGURE_NAMES:
+        path = directory / f"{name}.csv"
+        export_csv(figure_dataset(name, grids), path)
+        tables[name] = path.read_bytes()
+    return tables
+
+
+def test_results_do_not_depend_on_batch_size_or_position(tmp_path, monkeypatch):
+    base = replace(DEFAULT_CONFIG, nbar_local=0.01, nbar_common=0.02)
+    r_values = [0.0, 0.1, 0.3, 0.45, 1.5]
+    j_values = [0.0, 0.2, 0.35, 0.7]
+
+    def by_rows(direction):
+        rows = [sweep_grid(base, [r], j_values, direction) for r in r_values]
+        return SweepGrid(
+            r_values=np.asarray(r_values),
+            j_values=np.asarray(j_values),
+            base=base,
+            direction=direction,
+            results=tuple(grid.results[0] for grid in rows),
+        )
+
+    whole = [sweep_grid(base, r_values, j_values, d) for d in Direction]
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "rows").mkdir()
+    (tmp_path / "points").mkdir()
+    reference = csv_tables(whole, tmp_path / "whole")
+    assert csv_tables([by_rows(d) for d in Direction], tmp_path / "rows") == reference
+    # a working set too small for two points: every slice holds one point
+    monkeypatch.setattr("entflow.sweep._BATCH_BYTES", 1)
+    single = [sweep_grid(base, r_values, j_values, d) for d in Direction]
+    assert csv_tables(single, tmp_path / "points") == reference
+    for grid in single:
+        for p in (p for row in grid.results for p in row):
+            net = validate_config(
+                replace(base, r=p.r_over_omega, j=p.j_over_omega, direction=grid.direction)
+            )
+            assert run_point(net) == p
 
 
 def test_single_cell_grid_reduces_to_run_point():
