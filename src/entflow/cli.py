@@ -201,10 +201,7 @@ def cmd_figure(args) -> int:
 
     r_values = np.linspace(r_lo, r_hi, n_r)
     j_values = np.linspace(j_lo, j_hi, n_j)
-    grids = [
-        sweep_grid(cfg, r_values, j_values, direction, workers=args.threads)
-        for direction in directions
-    ]
+    grids = [sweep_grid(cfg, r_values, j_values, direction) for direction in directions]
     table = figure_dataset(args.name, grids)
 
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
@@ -356,13 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_figure.add_argument("--out", metavar="PATH", help="CSV path (default: <name>.csv)")
     p_figure.add_argument("--direction", choices=[d.value for d in Direction])
-    p_figure.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="accepted for compatibility; changes nothing (the sweep is batched)",
-    )
     p_figure.set_defaults(handler=cmd_figure)
 
     p_selftest = sub.add_parser("selftest", help="run built-in validation fixtures")

@@ -5,6 +5,10 @@ convention of :mod:`entflow.network`.  Separability and physicality
 thresholds are stated in the literature for half that normalization, so the
 measures divide by two internally (sigma = V/2) and the usual 1/2 thresholds
 apply verbatim.
+
+Physicality and entanglement read symplectic spectra off one construction:
+the Cholesky factor sigma = L L^T and the antisymmetric form L^T Omega L,
+whose singular values are the symplectic eigenvalues of sigma.
 """
 
 from __future__ import annotations
@@ -21,11 +25,6 @@ from .errors import (
     EntflowError,
     NonpositiveOccupationError,
 )
-
-# PT-spectrum discriminants may go slightly negative through round-off on
-# borderline-physical inputs; anything below this relative floor is an error.
-_DISCRIMINANT_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TwoModeCovariance:
@@ -108,55 +107,76 @@ def _two_mode_matrix(tm) -> np.ndarray:
     return arr
 
 
-def _pt_spectrum(sigma: np.ndarray) -> tuple:
-    """Smallest partially transposed symplectic eigenvalue of a stack of
-    two-mode states ``sigma`` (..., 4, 4), normalized as V/2, with the two
-    discriminants that must not go negative and their round-off floor.
+def _williamson_forms(sigma: np.ndarray) -> tuple:
+    """The antisymmetric form K = L^T Omega L of each positive definite
+    matrix of the stack ``sigma`` (..., n, n), sigma = L L^T its Cholesky
+    factor, as (K, factored); factored flags the matrices that have one.
 
-    Returns (nu, inner, nu_sq, floor), each of the stack's shape.
+    i K is Hermitian and similar to i Omega sigma, so the symplectic
+    eigenvalues of sigma are the singular values of K.  Where sigma does not
+    factor, K is zero.
     """
-    det_k = np.linalg.det(sigma[..., 0:2, 0:2])
-    det_m = np.linalg.det(sigma[..., 2:4, 2:4])
-    det_c = np.linalg.det(sigma[..., 0:2, 2:4])
-    det_s = np.linalg.det(sigma)
-    delta = det_k + det_m - 2.0 * det_c
-    inner = delta * delta - 4.0 * det_s
-    floor = -_DISCRIMINANT_RTOL * np.maximum(1.0, delta * delta)
-    nu_sq = (delta - np.sqrt(np.maximum(inner, 0.0))) / 2.0
-    return np.sqrt(np.maximum(nu_sq, 0.0)), inner, nu_sq, floor
+    try:
+        chol = np.linalg.cholesky(sigma)
+        factored = np.ones(sigma.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        chol = np.zeros_like(sigma)
+        factored = np.zeros(sigma.shape[:-2], dtype=bool)
+        for index in np.ndindex(*sigma.shape[:-2]):
+            try:
+                chol[index] = np.linalg.cholesky(sigma[index])
+                factored[index] = True
+            except np.linalg.LinAlgError:
+                pass
+    omega_chol = np.empty_like(chol)  # Omega L
+    omega_chol[..., 0::2, :] = chol[..., 1::2, :]
+    omega_chol[..., 1::2, :] = -chol[..., 0::2, :]
+    return chol.swapaxes(-1, -2) @ omega_chol, factored
+
+
+def _pt_nu_minus(sigma: np.ndarray) -> np.ndarray:
+    """Smallest partially transposed symplectic eigenvalue of each two-mode
+    state of the stack ``sigma`` (..., 4, 4), normalized as V/2; NaN where
+    sigma is not positive definite.
+
+    The transpose flips the second mode's momentum, sigma~ = P sigma P.  The
+    4x4 form K of sigma~ splits into self-dual and anti-self-dual parts of
+    norms x and y, and its singular values are x + y and |x - y|.
+    """
+    flip = np.array([1.0, 1.0, 1.0, -1.0])
+    forms, factored = _williamson_forms(sigma * flip[:, None] * flip)
+    a, b, c = forms[..., 0, 1], forms[..., 0, 2], forms[..., 0, 3]
+    d, e, f = forms[..., 1, 2], forms[..., 1, 3], forms[..., 2, 3]
+    x = np.sqrt((a + f) ** 2 + (b - e) ** 2 + (c + d) ** 2) / 2.0
+    y = np.sqrt((a - f) ** 2 + (b + e) ** 2 + (c - d) ** 2) / 2.0
+    return np.where(factored, np.abs(x - y), np.nan)
 
 
 def _log_negativity(nu):
     with np.errstate(divide="ignore"):
         value = -np.log(2.0 * nu)
-    return np.where(value > 0.0, value, 0.0)  # +0.0 for separable states, never -0.0
+    # +0.0 for separable states, never -0.0; NaN (no Cholesky factor) stays
+    return np.where(value <= 0.0, 0.0, value)
 
 
 def ppt_symplectic_min(tm) -> float:
     """Smallest symplectic eigenvalue of the partially transposed two-mode
     state; the state is separable iff this is >= 1/2.
 
-    Accepts a TwoModeCovariance or a plain 4x4 matrix.  Computed from the
-    symplectic invariants of sigma = tm/2:
+    Accepts a TwoModeCovariance or a plain 4x4 matrix.  The partially
+    transposed state sigma~ of sigma = tm/2 is factored as L L^T, and the
+    value is the smaller singular value of L^T Omega L, in closed form.
 
-        nu_minus^2 = (delta - sqrt(delta^2 - 4 det sigma)) / 2,
-        delta = det sigma_k + det sigma_m - 2 det sigma_corr.
-
-    Raises ComplexEigenvalueError when a discriminant is negative beyond
-    round-off, which happens exactly when the input is not a physical state.
+    Raises ComplexEigenvalueError when sigma~ has no Cholesky factor: it is
+    positive definite exactly when sigma is, which every physical state is.
     """
-    nu, inner, nu_sq, floor = _pt_spectrum(_two_mode_matrix(tm) / 2.0)
-    if inner < floor:
+    nu = float(_pt_nu_minus(_two_mode_matrix(tm) / 2.0))
+    if math.isnan(nu):
         raise ComplexEigenvalueError(
-            f"partially transposed spectrum is complex (discriminant {inner:.3e}); "
+            "partially transposed state is not positive definite; "
             "the input is not a physical two-mode covariance matrix"
         )
-    if nu_sq < floor:
-        raise ComplexEigenvalueError(
-            f"partially transposed spectrum is imaginary (nu^2 = {nu_sq:.3e}); "
-            "the input is not a physical two-mode covariance matrix"
-        )
-    return float(nu)
+    return nu
 
 
 def log_negativity(tm) -> EntanglementRecord:
@@ -173,19 +193,16 @@ def pair_log_negativities(v: np.ndarray, k: int, nodes) -> np.ndarray:
     """E_N between mode k and each mode of ``nodes``, for every covariance
     matrix of the stack ``v`` (B, n, n); shape (B, len(nodes)).
 
-    The closed form of ``log_negativity`` on all pairs at once.  A pair
-    whose partially transposed spectrum is complex comes back NaN;
-    ``log_negativity`` raises ComplexEigenvalueError on that pair.
+    ``log_negativity`` on all pairs at once.  A pair that is not positive
+    definite comes back NaN; ``log_negativity`` raises
+    ComplexEigenvalueError on that pair.
     """
     v = np.asarray(v, dtype=float)
     for m in (k, *nodes):
         _check_mode_index(v, m)
     modes = np.array([[2 * k, 2 * k + 1, 2 * m, 2 * m + 1] for m in nodes])
     sigma = v[:, modes[:, :, None], modes[:, None, :]] / 2.0
-    nu, inner, nu_sq, floor = _pt_spectrum(sigma)
-    en = _log_negativity(nu)
-    en[(inner < floor) | (nu_sq < floor)] = np.nan
-    return en
+    return _log_negativity(_pt_nu_minus(sigma))
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
@@ -231,36 +248,20 @@ def physicality(v: np.ndarray, atol: float = 1e-8) -> tuple:
     """``check_physical(v[b], atol).physical`` for every covariance matrix of
     the stack ``v`` (B, n, n), as (flags, errors).
 
-    Where sigma = V/2 has a Cholesky factor L (sigma = L L^T, so V is
-    positive definite), the symplectic eigenvalues are the moduli of the
-    eigenvalues of the Hermitian form L^T (i Omega) L, similar to
-    i Omega sigma; they come from one batched eigvalsh.  Every other matrix
-    goes through ``check_physical``; errors[b] holds what it raised, and is
-    None otherwise.
+    Where sigma = V/2 is positive definite, the symplectic eigenvalues are
+    the moduli of the eigenvalues of the Hermitian form i L^T Omega L of its
+    Cholesky factor L; they come from one batched eigvalsh.  Every other
+    matrix goes through ``check_physical``; errors[b] holds what it raised,
+    and is None otherwise.
     """
     v = np.asarray(v, dtype=float)
     sym = (v + v.swapaxes(-1, -2)) / 2.0
     tol = atol * np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
-    try:
-        chol = np.linalg.cholesky(sym / 2.0)
-        factored = np.ones(v.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        chol = np.zeros_like(sym)
-        factored = np.zeros(v.shape[0], dtype=bool)
-        for b in range(v.shape[0]):
-            try:
-                chol[b] = np.linalg.cholesky(sym[b] / 2.0)
-                factored[b] = True
-            except np.linalg.LinAlgError:
-                pass
-    omega_chol = np.empty_like(chol)  # Omega L
-    omega_chol[:, 0::2] = chol[:, 1::2]
-    omega_chol[:, 1::2] = -chol[:, 0::2]
-    form = 1j * (chol.swapaxes(-1, -2) @ omega_chol)
+    forms, factored = _williamson_forms(sym / 2.0)
     flags = np.zeros(v.shape[0], dtype=bool)
     errors = [None] * v.shape[0]
     if factored.any():
-        nu = np.abs(np.linalg.eigvalsh(form[factored])).min(axis=1)
+        nu = np.abs(np.linalg.eigvalsh(1j * forms[factored])).min(axis=1)
         flags[factored] = nu >= 0.5 - tol[factored]
     for b in np.flatnonzero(~factored).tolist():
         try:

@@ -15,9 +15,7 @@ is cut into slices under a fixed working-set budget.  ``run_point`` is the
 same engine on a batch of one, and a point's result never depends on the
 batch it was computed in.
 
-Everything here is deterministic: no randomness, no timestamps.  The
-``workers`` argument of ``sweep_grid`` (the CLI's ``--threads``) is
-accepted and ignored; the batched engine runs in the calling thread.
+Everything here is deterministic: no randomness, no timestamps.
 """
 
 from __future__ import annotations
@@ -146,11 +144,12 @@ def _summaries(net: ValidatedNetwork, r: np.ndarray, j: np.ndarray) -> list:
     for b, error in zip(solved, physical_errors):
         errors[b] = error
 
-    # source pairs in the order the summary reports them: the near and far
-    # probes, then (forward) every node for the depth scan
+    # source pairs: forward, every node for the depth scan, which includes
+    # the near and far probes; backward, the probes only
     forward = net.direction is Direction.FORWARD
     probes = [2, net.M - 1] if net.M >= 2 else []
-    nodes = probes + (list(range(1, net.M + 1)) if forward else [])
+    nodes = list(range(1, net.M + 1)) if forward else probes
+    columns = [nodes.index(m) for m in probes]
     en = pair_log_negativities(v, 0, nodes) if nodes else np.empty((len(solved), 0))
     for row in np.flatnonzero(np.isnan(en).any(axis=1)).tolist():
         b = solved[row]
@@ -159,7 +158,7 @@ def _summaries(net: ValidatedNetwork, r: np.ndarray, j: np.ndarray) -> list:
         except EntflowError as exc:
             errors[b] = errors[b] or exc
     if forward:
-        m_max = _deepest(en[:, len(probes) :], ENTANGLEMENT_THRESHOLD)
+        m_max = _deepest(en, ENTANGLEMENT_THRESHOLD)
         k = 2 * np.array(m_max, dtype=int)
         rows = np.arange(len(solved))
         nbar = ((v[rows, k, k] + v[rows, k + 1, k + 1] - 2.0) / 4.0).tolist()
@@ -179,7 +178,7 @@ def _summaries(net: ValidatedNetwork, r: np.ndarray, j: np.ndarray) -> list:
             fields["solver_error"] = f"{type(errors[b]).__name__}: {errors[b]}"
         elif stable[b]:
             row = row_of[b]
-            pairs = en[row, : len(probes)].tolist() or [None, None]
+            pairs = en[row, columns].tolist() or [None, None]
             fields.update(
                 physical=bool(physical[row]),
                 en_forward_pair=pairs[0],
@@ -210,14 +209,12 @@ def sweep_grid(
     r_values,
     j_values,
     direction: Direction | None = None,
-    workers: int | None = None,
 ) -> SweepGrid:
     """Evaluate run_point on the cartesian grid r_values x j_values.
 
     ``direction`` overrides the base configuration's direction when given.
     The grid runs through the batched engine in slices of at most a fixed
     working set; each point's result is the one run_point gives for it.
-    ``workers`` is accepted for compatibility and changes nothing.
     """
     r_values = np.asarray(r_values, dtype=float)
     j_values = np.asarray(j_values, dtype=float)

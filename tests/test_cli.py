@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import entflow
 from entflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -182,9 +184,24 @@ def test_figure_repeat_runs_are_byte_identical(tmp_path, capsys):
     first = out.read_bytes()
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert out.read_bytes() == first
-    # threading must not change a byte either
-    assert run_cli(capsys, *argv, "--threads", "4")[0] == EXIT_OK
-    assert out.read_bytes() == first
+
+
+def test_figure_csvs_do_not_depend_on_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(entflow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tables = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        for name in ("nonreciprocity", "stability"):
+            out = tmp_path / f"{name}-{threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "entflow.cli", "figure", name,
+                 "--grid", "21x21", "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            tables[name, threads] = out.read_bytes()
+    for name in ("nonreciprocity", "stability"):
+        assert tables[name, "1"] == tables[name, "2"]
 
 
 def test_figure_stability_at_exceptional_point(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Reductions, entanglement measures, physicality, occupation, temperature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import oracles
 from entflow import (
     DEFAULT_CONFIG,
     ComplexEigenvalueError,
+    NetworkConfig,
     NonpositiveOccupationError,
     TwoModeCovariance,
     build_dynamical_matrix,
@@ -127,12 +129,24 @@ def test_vacuum_and_product_states_are_separable():
         assert record.nu_minus >= 0.5
 
 
+def near_degenerate_pt(rng):
+    """A positive definite two-mode covariance matrix whose partial
+    transpose has two symplectic eigenvalues that differ by a relative 1e-12
+    to 1e-6."""
+    nu = rng.uniform(0.5, 3.0)
+    split = nu * (1.0 + 10.0 ** rng.uniform(-12.0, -6.0))
+    s = oracles.random_symplectic(rng, 2)
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    return 2.0 * flip @ s @ np.diag([nu, nu, split, split]) @ s.T @ flip
+
+
 def test_ppt_matches_eigen_oracle_on_random_states():
-    rng = np.random.default_rng(20260816)
-    for _ in range(1000):
-        v = oracles.random_physical_two_mode(rng)
-        nu = ppt_symplectic_min(v)
-        assert abs(nu - oracles.ppt_nu_min_eigen(v)) <= 1e-10
+    for draw in (oracles.random_physical_two_mode, near_degenerate_pt):
+        rng = np.random.default_rng(20260816)
+        for _ in range(1000):
+            v = draw(rng)
+            nu = ppt_symplectic_min(v)
+            assert abs(nu - oracles.ppt_nu_min_eigen(v)) <= 1e-10
 
 
 def test_log_negativity_invariant_under_local_rotations():
@@ -150,14 +164,14 @@ def test_log_negativity_invariant_under_local_rotations():
 
 
 def test_unphysical_inputs_raise_complex_eigenvalue_error():
-    # overwhelming x-x / p-p correlations: the inner discriminant stays
-    # positive but the smallest PT "eigenvalue" squares to a negative number
+    # overwhelming x-x / p-p correlations: every block is positive definite
+    # but the whole matrix is indefinite (eigenvalues -1 and -2)
     v1 = np.block(
         [[np.eye(2), np.diag([2.0, 3.0])], [np.diag([2.0, 3.0]), np.eye(2)]]
     )
     with pytest.raises(ComplexEigenvalueError):
         ppt_symplectic_min(v1)
-    # indefinite input where the PT spectrum itself leaves the real axis
+    # indefinite input with negative diagonal entries
     v2 = np.array(
         [
             [0.406, -0.041, -1.4, -1.652],
@@ -168,6 +182,16 @@ def test_unphysical_inputs_raise_complex_eigenvalue_error():
     )
     with pytest.raises(ComplexEigenvalueError):
         ppt_symplectic_min(v2)
+
+
+def test_subnormal_coupling_raises_no_warning():
+    net = validate_config(
+        NetworkConfig(M=1, r=0.5, j=5e-324, gamma=0.0, gamma_out=0.5, omega=(0.5, 1.0))
+    )
+    v = solve_steady_state_spectral(build_dynamical_matrix(net), build_noise_matrix(net))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_negativity(reduce_two_mode(v, 0, 1)).log_negativity == 0.0
 
 
 def test_chain_pair_entanglement_from_steady_state():

@@ -156,3 +156,20 @@ def test_backward_upstream_blocks_ignore_the_source(cfg, r, j):
         )
     upstream = slice(2, 2 * cfg.M)
     assert np.array_equal(states[0][upstream, upstream], states[1][upstream, upstream])
+
+
+@st.composite
+def single_mode_states(draw):
+    """(2 nbar + 1) R S S^T R^T: a squeezed thermal state at any phase."""
+    s = draw(st.floats(0.0, 2.0))
+    rotation = oracles.rotation_block(draw(st.floats(0.0, 2.0 * np.pi)))
+    nbar = draw(st.floats(0.0, 2.0))
+    squeezed = np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)])
+    return (2.0 * nbar + 1.0) * rotation @ squeezed @ rotation.T
+
+
+@given(single_mode_states(), single_mode_states())
+def test_product_states_carry_no_entanglement(first, second):
+    zero = np.zeros((2, 2))
+    v = np.block([[first, zero], [zero, second]])
+    assert log_negativity(v).log_negativity <= 1e-12

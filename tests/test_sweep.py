@@ -336,16 +336,6 @@ def test_single_cell_grid_reduces_to_run_point():
     assert grid.results[0][0] == run_point(make_net(r=0.1, j=0.5))
 
 
-def test_workers_do_not_change_results():
-    r_values = np.linspace(0.0, 0.4, 3)
-    j_values = np.linspace(0.0, 0.8, 3)
-    serial = sweep_grid(DEFAULT_CONFIG, r_values, j_values, Direction.FORWARD)
-    threaded = sweep_grid(
-        DEFAULT_CONFIG, r_values, j_values, Direction.FORWARD, workers=4
-    )
-    assert serial.results == threaded.results
-
-
 def test_nonreciprocity_on_small_grid():
     r_values = np.linspace(0.05, 0.5, 4)
     j_values = np.linspace(0.05, 0.5, 4)
