@@ -46,6 +46,7 @@ from .measures import (
     EntanglementRecord,
     PhysicalityReport,
     TwoModeCovariance,
+    certify_physicality,
     check_physical,
     effective_temperature,
     log_negativity,

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import replace
@@ -19,12 +20,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config_io import DEFAULT_CONFIG, PRESETS, load_config_file
 from .errors import ConfigError, EntflowError
 from .lyapunov import solve_steady_state_spectral, solve_steady_state_vectorized, spectral_abscissa
 from .measures import (
+    certify_physicality,
     effective_temperature,
     log_negativity,
     mean_occupation,
@@ -181,6 +184,24 @@ def _config_as_json(cfg) -> dict:
     }
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Library versions, BLAS build and thread settings of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _sha256_of(path: Path) -> str:
     digest = hashlib.sha256()
     digest.update(path.read_bytes())
@@ -219,6 +240,7 @@ def cmd_figure(args) -> int:
                 "j_values": [float(v) for v in j_values],
             },
             "outputs": {out.name: _sha256_of(out)},
+            "environment": _environment(),
         }
         with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -237,13 +259,24 @@ def _selftest_fixtures():
     # Vacuum identity: no squeezing, zero-temperature baths, steady state
     # must be exactly the vacuum.
     net = validate_config(DEFAULT_CONFIG)
-    a = build_dynamical_matrix(net)
-    v = solve_steady_state_spectral(a, build_noise_matrix(net))
+    a, noise = build_dynamical_matrix(net), build_noise_matrix(net)
+    v = solve_steady_state_spectral(a, noise)
     dev = float(np.abs(v - np.eye(net.dim)).max())
     yield (
         "vacuum-identity",
         dev <= 1e-8,
         f"expected max|V - I| = 0, got {dev:.3e}, tol 1e-08",
+    )
+
+    # Physicality certificate: the default chain's generator is certified,
+    # and with half its diffusion (below the vacuum) it is rejected.
+    full = certify_physicality(a, noise)
+    half = certify_physicality(a, noise / 2.0)
+    yield (
+        "physicality-certificate",
+        full and not half,
+        f"expected Q >= 0 for N and not for N/2, got {full} and {half}, "
+        "tol 1e-12 max|Q|",
     )
 
     # Thermal scaling: an isolated mode in a bath at occupation 0.7.

@@ -10,10 +10,13 @@ Only the source block of the drift depends on (r, j), so the grid is
 carried as a leading batch axis: one stack of drifts, one block order per
 nonzero pattern, stability from the same per-block factorization the solve
 uses, a triangular Sylvester solve for the stable points only, and every
-measure on every (point, node) pair from stacked closed forms.  The batch
-is cut into slices under a fixed working-set budget.  ``run_point`` is the
-same engine on a batch of one, and a point's result never depends on the
-batch it was computed in.
+pair entanglement on every (point, node) pair from stacked closed forms.
+The batch is cut into slices under a fixed working-set budget.
+Physicality does not depend on (r, j) at all: one certificate of the
+generator (``certify_physicality``) per sweep proves every stable steady
+state physical, and the per-state test runs only where the certificate
+fails.  ``run_point`` is the same engine on a batch of one, and a point's
+result never depends on the batch it was computed in.
 
 Everything here is deterministic: no randomness, no timestamps.
 """
@@ -27,6 +30,7 @@ import numpy as np
 from .errors import ConfigError, EntflowError, MissingDirectionError
 from .lyapunov import STABILITY_MARGIN, solve_steady_states
 from .measures import (
+    certify_physicality,
     log_negativity,
     pair_log_negativities,
     physicality,
@@ -37,6 +41,7 @@ from .network import (
     NetworkConfig,
     ValidatedNetwork,
     build_drift_stack,
+    build_dynamical_matrix,
     build_noise_matrix,
     validate_config,
 )
@@ -61,6 +66,13 @@ _COLUMNS = {
 @dataclass(frozen=True)
 class PointResult:
     """Steady-state summary of one (r, j, direction) operating point.
+
+    ``physical`` is the physicality of the exact steady state of the
+    generator: true for every stable, solved point once the generator's
+    certificate (``certify_physicality``) holds, and from the per-state test
+    of the computed matrix only where it does not.  The computed matrix is
+    still held to the solver's residual contract, and a failed pair goes to
+    ``solver_error``.
 
     Fields after ``spectral_abscissa`` are None when undefined: every
     steady-state quantity for unstable or failed points, the pair
@@ -125,24 +137,36 @@ def _deepest(en: np.ndarray, threshold: float) -> list:
     return np.where(above.any(axis=1), depth, 0).tolist()
 
 
-def _summaries(net: ValidatedNetwork, r: np.ndarray, j: np.ndarray) -> list:
-    """PointResults of ``net`` at the points (r[b], j[b]), in one batch.
+def _summaries(
+    net: ValidatedNetwork,
+    r: np.ndarray,
+    j: np.ndarray,
+    drifts: np.ndarray,
+    noise: np.ndarray,
+    certified: bool,
+) -> list:
+    """PointResults of ``net`` at the points (r[b], j[b]), with drifts
+    ``drifts[b]`` and diffusion ``noise``, in one batch.
 
-    Unstable dynamics is a finding, not an error: such a point comes back
-    with stable = False and no steady-state fields.  Solver and measure
-    failures of a stable point go to its ``solver_error``, with the message
-    the single-point functions raise, the first one in the order solve,
-    physicality, pair entanglement.
+    ``certified`` is ``certify_physicality`` of the network: when it holds,
+    every stable, solved point is physical; otherwise the per-state test
+    ``physicality`` decides.  Unstable dynamics is a finding, not an error:
+    such a point comes back with stable = False and no steady-state fields.
+    Solver and measure failures of a stable point go to its
+    ``solver_error``, with the message the single-point functions raise,
+    the first one in the order solve, physicality (per-state test only),
+    pair entanglement.
     """
-    abscissa, states, errors = solve_steady_states(
-        build_drift_stack(net, r, j), build_noise_matrix(net), -STABILITY_MARGIN
-    )
+    abscissa, states, errors = solve_steady_states(drifts, noise, -STABILITY_MARGIN)
     stable = abscissa < -STABILITY_MARGIN
     solved = [b for b in np.flatnonzero(stable).tolist() if errors[b] is None]
     v = states[solved]
-    physical, physical_errors = physicality(v)
-    for b, error in zip(solved, physical_errors):
-        errors[b] = error
+    if certified:
+        physical = np.ones(len(solved), dtype=bool)
+    else:
+        physical, physical_errors = physicality(v)
+        for b, error in zip(solved, physical_errors):
+            errors[b] = error
 
     # source pairs: forward, every node for the depth scan, which includes
     # the near and far probes; backward, the probes only
@@ -201,7 +225,11 @@ def run_point(net: ValidatedNetwork) -> PointResult:
     stable = False and no steady-state fields.  Solver failures on stable
     points are captured in ``solver_error`` instead of propagating.
     """
-    return _summaries(net, np.array([net.r]), np.array([net.j]))[0]
+    r, j = np.array([net.r]), np.array([net.j])
+    drifts = build_drift_stack(net, r, j)
+    noise = build_noise_matrix(net)
+    certified = certify_physicality(drifts[0], noise)
+    return _summaries(net, r, j, drifts, noise, certified)[0]
 
 
 def sweep_grid(
@@ -214,7 +242,8 @@ def sweep_grid(
 
     ``direction`` overrides the base configuration's direction when given.
     The grid runs through the batched engine in slices of at most a fixed
-    working set; each point's result is the one run_point gives for it.
+    working set, under one physicality certificate of the generator; each
+    point's result is the one run_point gives for it.
     """
     r_values = np.asarray(r_values, dtype=float)
     j_values = np.asarray(j_values, dtype=float)
@@ -232,10 +261,14 @@ def sweep_grid(
     )
     r_flat = np.repeat(r_values, j_values.size) / net.frequency_scale
     j_flat = np.tile(j_values, r_values.size) / net.frequency_scale
+    noise = build_noise_matrix(net)
+    certified = certify_physicality(build_dynamical_matrix(net), noise)
     step = max(1, _BATCH_BYTES // (10 * 16 * net.dim * net.dim))
     flat = []
     for lo in range(0, r_flat.size, step):
-        flat.extend(_summaries(net, r_flat[lo : lo + step], j_flat[lo : lo + step]))
+        r, j = r_flat[lo : lo + step], j_flat[lo : lo + step]
+        drifts = build_drift_stack(net, r, j)
+        flat.extend(_summaries(net, r, j, drifts, noise, certified))
 
     n_j = j_values.size
     rows = tuple(tuple(flat[i * n_j : (i + 1) * n_j]) for i in range(r_values.size))

@@ -7,7 +7,9 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+import scipy
 
 import entflow
 from entflow.cli import (
@@ -167,6 +169,27 @@ def test_figure_writes_csv_and_manifest(tmp_path, capsys):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["outputs"]["depth.csv"] == digest
 
+    environment = manifest["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["scipy"] == scipy.__version__
+    assert set(environment["blas"]) == {"name", "version"}
+    assert environment["threads"] == {
+        name: os.environ.get(name)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    assert environment["cpu_count"] == os.cpu_count()
+
+
+def test_manifest_records_thread_settings(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _, argv = figure_args(tmp_path, "depth")
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    manifest = json.loads((tmp_path / "depth.csv.manifest.json").read_text())
+    threads = manifest["environment"]["threads"]
+    assert threads["OMP_NUM_THREADS"] == "3"
+    assert threads["MKL_NUM_THREADS"] is None
+
 
 def test_figure_nonreciprocity_runs_both_directions(tmp_path, capsys):
     out, argv = figure_args(tmp_path, "nonreciprocity")
@@ -259,10 +282,11 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == EXIT_OK
     lines = [line for line in out.splitlines() if line.strip()]
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
     for fixture in (
         "vacuum-identity",
+        "physicality-certificate",
         "thermal-scaling",
         "tmsv-closed-form",
         "solver-cross-check",

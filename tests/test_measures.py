@@ -12,11 +12,13 @@ import oracles
 from entflow import (
     DEFAULT_CONFIG,
     ComplexEigenvalueError,
+    Direction,
     NetworkConfig,
     NonpositiveOccupationError,
     TwoModeCovariance,
     build_dynamical_matrix,
     build_noise_matrix,
+    certify_physicality,
     check_physical,
     effective_temperature,
     log_negativity,
@@ -240,6 +242,63 @@ def test_chain_steady_states_are_physical():
         report = check_physical(steady_state(r=r, j=j))
         assert report.physical
         assert report.min_symplectic >= 0.5 - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# physicality certificate of the generator
+
+
+def symplectic_part(a):
+    """A Omega + Omega A^T, the part of Q that carries the drift."""
+    omega = oracles.omega_form(a.shape[0] // 2)
+    return a @ omega + omega @ a.T
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+def test_symplectic_part_of_the_drift_ignores_squeezing_and_coupling(direction):
+    # the squeezing and the source coupling are Hamiltonian, so Q is the same
+    # at every (r, j) and one certificate covers a sweep
+    base = replace(
+        DEFAULT_CONFIG,
+        omega=tuple(1.0 + 0.05 * k for k in range(DEFAULT_CONFIG.M + 1)),
+        nbar_local=0.01,
+        nbar_common=0.02,
+        direction=direction,
+    )
+    reference = symplectic_part(build_dynamical_matrix(validate_config(base)))
+    assert np.abs(reference).max() > 0.1
+    for r, j in ((0.7, 0.9), (0.1, DEFAULT_CONFIG.gamma / 4.0), (2.0, 0.0), (0.0, 5.0)):
+        a = build_dynamical_matrix(validate_config(replace(base, r=r, j=j)))
+        assert np.abs(symplectic_part(a) - reference).max() <= 1e-15
+
+
+def single_mode_generator(nbar, gamma=0.3):
+    """A damped mode in a bath at ``nbar``: Q = gamma ((2 nbar + 1) I + i Omega),
+    with smallest eigenvalue 2 gamma nbar."""
+    a = np.array([[-gamma / 2.0, 1.0], [-1.0, -gamma / 2.0]])
+    return a, gamma * (2.0 * nbar + 1.0) * np.eye(2)
+
+
+def test_certificate_admits_the_vacuum_bath_and_rejects_any_below():
+    assert certify_physicality(*single_mode_generator(0.0))  # Q exactly singular
+    assert certify_physicality(*single_mode_generator(0.5))
+    assert not certify_physicality(*single_mode_generator(-1e-10))
+    assert not certify_physicality(*single_mode_generator(-0.25))
+
+
+@pytest.mark.parametrize("m", [1, 3, 10, 100])
+def test_certificate_holds_for_chains_and_fails_below_the_vacuum(m):
+    for overrides in ({}, {"nbar_local": 0.01, "nbar_common": 0.02}):
+        net = validate_config(replace(DEFAULT_CONFIG, M=m, r=0.3, j=0.7, **overrides))
+        a, noise = build_dynamical_matrix(net), build_noise_matrix(net)
+        assert certify_physicality(a, noise)
+        assert not certify_physicality(a, 0.5 * noise)
+
+
+def test_certificate_without_dissipation_is_not_given():
+    # no bath at all: Q = 0, and no drift of that kind is stable
+    net = validate_config(replace(DEFAULT_CONFIG, gamma=0.0, gamma_out=0.0, r=0.2))
+    assert not certify_physicality(build_dynamical_matrix(net), build_noise_matrix(net))
 
 
 # ---------------------------------------------------------------------------

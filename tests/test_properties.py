@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -12,6 +12,7 @@ from entflow import (
     NetworkConfig,
     build_dynamical_matrix,
     build_noise_matrix,
+    certify_physicality,
     check_physical,
     evolve_covariance,
     log_negativity,
@@ -122,10 +123,50 @@ def test_steady_state_meets_the_residual_contract(system):
 
 @given(configs())
 def test_stable_points_are_physical(cfg):
-    point = run_point(validate_config(cfg))
+    net = validate_config(cfg)
+    a, n = build_dynamical_matrix(net), build_noise_matrix(net)
+    assert certify_physicality(a, n)
+    point = run_point(net)
     assume(point.spectral_abscissa < -MARGIN)
     assert point.solver_error is None
     assert point.physical
+    assert oracles.physical_by_eigenvalues(solve_steady_state_spectral(a, n))
+
+
+@st.composite
+def long_chains(draw):
+    """A random valid chain of 20 to 120 nodes, stable or not, drawn away
+    from the exceptional point j = gamma/4 at r = 0."""
+    m = draw(st.integers(20, 120))
+    gamma = draw(st.floats(0.0, 1.0))
+    r = draw(st.floats(0.0, 0.5))
+    j = draw(st.floats(0.0, 1.0))
+    assume(r > 1e-3 or abs(j - gamma / 4.0) > 1e-3)
+    omega = draw(
+        st.one_of(
+            st.floats(0.5, 1.5),
+            st.lists(st.floats(0.5, 1.5), min_size=m + 1, max_size=m + 1).map(tuple),
+        )
+    )
+    return NetworkConfig(
+        M=m,
+        r=r,
+        j=j,
+        gamma=gamma,
+        gamma_out=draw(st.floats(0.0, 0.5)),
+        omega=omega,
+        direction=draw(st.sampled_from(tuple(Direction))),
+    )
+
+
+@settings(max_examples=12)
+@given(long_chains())
+def test_long_chain_abscissa_matches_the_block_oracle(cfg):
+    net = validate_config(cfg)
+    a = build_dynamical_matrix(net)
+    exact = oracles.abscissa_from_blocks(oracles.drift_oracle(net), net)
+    tol = np.sqrt(np.finfo(float).eps) * np.linalg.norm(a)
+    assert abs(spectral_abscissa(a) - exact) <= tol
 
 
 @given(networks(max_nbar=0.02), st.data())

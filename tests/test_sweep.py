@@ -7,6 +7,7 @@ import pytest
 from dataclasses import replace
 from numpy.testing import assert_allclose
 
+import entflow.sweep
 import oracles
 from entflow import (
     DEFAULT_CONFIG,
@@ -22,6 +23,7 @@ from entflow import (
     build_dynamical_matrix,
     build_input_matrix,
     build_noise_matrix,
+    certify_physicality,
     export_csv,
     figure_dataset,
     log_negativity,
@@ -193,6 +195,61 @@ def test_point_failures_stay_with_their_point(monkeypatch):
     assert row[2] == run_point(make_net(r=0.1, j=0.9))
 
 
+def counting(monkeypatch, name):
+    """Replace entflow.sweep.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(entflow.sweep, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(f"entflow.sweep.{name}", counted)
+    return calls
+
+
+def test_certified_sweep_never_runs_the_per_state_test(monkeypatch):
+    per_state = counting(monkeypatch, "physicality")
+    base = replace(DEFAULT_CONFIG, nbar_local=0.01, nbar_common=0.02)
+    for direction in Direction:
+        grid = sweep_grid(base, [0.0, 0.1, 0.3, 2.0], [0.0, 0.2, 0.5], direction)
+        points = [p for row in grid.results for p in row]
+        assert sum(p.stable for p in points) >= 6
+        assert all(p.physical == p.stable for p in points)
+    assert run_point(make_net(r=0.1, j=0.5)).physical
+    assert per_state == []
+
+
+def test_certificate_is_computed_once_per_sweep(monkeypatch):
+    certificates = counting(monkeypatch, "certify_physicality")
+    # a working set too small for two points: every slice holds one point
+    monkeypatch.setattr("entflow.sweep._BATCH_BYTES", 1)
+    grid = sweep_grid(DEFAULT_CONFIG, [0.0, 0.1, 0.3], [0.2, 0.5, 0.9, 1.2])
+    assert len(grid.results) * len(grid.results[0]) == 12
+    assert len(certificates) == 1
+    run_point(make_net(r=0.1, j=0.5))
+    assert len(certificates) == 2
+
+
+def test_sub_vacuum_diffusion_falls_back_to_the_per_state_test(monkeypatch):
+    # half the diffusion puts every bath below the vacuum: the certificate
+    # fails, the per-state test runs, and no steady state is physical
+    net = make_net()
+    a, noise = build_dynamical_matrix(net), build_noise_matrix(net)
+    assert certify_physicality(a, noise)
+    assert not certify_physicality(a, 0.5 * noise)
+
+    monkeypatch.setattr(
+        "entflow.sweep.build_noise_matrix", lambda net: 0.5 * build_noise_matrix(net)
+    )
+    per_state = counting(monkeypatch, "physicality")
+    grid = sweep_grid(DEFAULT_CONFIG, [0.0, 0.1, 0.3], [0.0, 0.2, 0.5])
+    points = [p for row in grid.results for p in row]
+    assert per_state and all(p.stable for p in points)
+    assert all(p.solver_error is None and not p.physical for p in points)
+    assert not run_point(make_net(r=0.1, j=0.5)).physical
+
+
 def test_sweep_grid_shape_and_axes():
     grid = sweep_grid(DEFAULT_CONFIG, [0.0, 0.1, 0.2], [0.3, 0.6], Direction.FORWARD)
     assert len(grid.results) == 3
@@ -266,6 +323,7 @@ def test_sweep_matches_independent_oracles(m, direction, warm):
                 noise = oracles.noise_element_formula(
                     build_input_matrix(net), bath_occupations(net)
                 )
+            assert certify_physicality(a, noise)
             v = oracles.lyapunov_bartels_stewart(a, noise)
             assert p.solver_error is None
             assert p.physical == oracles.physical_by_eigenvalues(v)
