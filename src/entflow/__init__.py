@@ -32,8 +32,10 @@ from .network import (
     validate_config,
 )
 from .lyapunov import (
+    BlockPlan,
     SpectralDecomposition,
     StabilityReport,
+    block_plan,
     evolve_covariance,
     solve_steady_state_spectral,
     solve_steady_state_vectorized,

@@ -202,6 +202,20 @@ def _environment() -> dict:
     }
 
 
+def _sweep_statistics(grid) -> dict:
+    """Solver passes of one sweep and the counts of its stable (solved),
+    unstable and failed (``solver_error``) points, which add up to the grid."""
+    points = [point for row in grid.results for point in row]
+    unstable = sum(not point.stable for point in points)
+    failed = sum(point.solver_error is not None for point in points)
+    return {
+        "passes": grid.passes,
+        "stable": len(points) - unstable - failed,
+        "unstable": unstable,
+        "failed": failed,
+    }
+
+
 def _sha256_of(path: Path) -> str:
     digest = hashlib.sha256()
     digest.update(path.read_bytes())
@@ -239,6 +253,7 @@ def cmd_figure(args) -> int:
                 "r_values": [float(v) for v in r_values],
                 "j_values": [float(v) for v in j_values],
             },
+            "sweeps": {grid.direction.value: _sweep_statistics(grid) for grid in grids},
             "outputs": {out.name: _sha256_of(out)},
             "environment": _environment(),
         }

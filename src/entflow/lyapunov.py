@@ -18,9 +18,13 @@ so the spectrum, and with it stability, is read off the diagonal and the
 Lyapunov equation becomes one real triangular Sylvester solve.  The solver
 takes a stack of drifts at once (``solve_steady_states``), which is how
 parameter sweeps run; the single-matrix functions are its batch of one.
-A generic Kronecker-vectorized
-solver, (I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent
-oracle.  Every returned matrix is checked against the residual contract
+The block order, and which blocks need a Schur form, is a ``BlockPlan``
+(``block_plan``): a plan built from a nonzero pattern serves every drift
+whose pattern lies within it, so a family of drifts, such as a network
+over its (r, j) grid, shares one.  Besides the drifts, a solve holds two
+stacks of their shape at once.  A generic Kronecker-vectorized solver,
+(I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent oracle.
+Every returned matrix is checked against the residual contract
 ||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max).
 
 Time evolution needs neither a steady state nor an eigenbasis: one Van
@@ -55,6 +59,8 @@ CONDITION_LIMIT = 1e8
 RECONSTRUCTION_RTOL = 1e-10
 # Residual contract shared by both solvers.
 RESIDUAL_RTOL = 1e-8
+# Stack-wide steps that need a temporary run in this many parts.
+_PARTS = 8
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,22 @@ class SpectralDecomposition:
         )
 
 
+@dataclass(frozen=True)
+class BlockPlan:
+    """Block upper-triangular form shared by a family of drifts.
+
+    For every drift the plan serves, a[order][:, order] is block upper
+    triangular.  ``blocks`` lists, as (lo, hi) in the permuted indices, the
+    diagonal blocks that may need a real Schur form: every block larger
+    than 2x2, and every 2x2 block that is not a damped rotation on all the
+    drifts (1x1 blocks and damped rotations are already in real Schur
+    canonical form).
+    """
+
+    order: np.ndarray
+    blocks: tuple
+
+
 def _block_order(a: np.ndarray) -> tuple:
     """Permutation and block bounds that make ``a`` block upper-triangular.
 
@@ -118,13 +140,34 @@ def _block_order(a: np.ndarray) -> tuple:
     return order, np.r_[0, edges], np.r_[edges, dim]
 
 
-def _pattern_classes(a: np.ndarray) -> list:
-    """Indices of the matrices of the stack ``a`` grouped by nonzero
-    pattern, so every group shares one block order."""
-    classes: dict = {}
-    for b, key in enumerate(np.packbits(a != 0, axis=-1).reshape(a.shape[0], -1)):
-        classes.setdefault(key.tobytes(), []).append(b)
-    return [np.array(members) for members in classes.values()]
+def block_plan(a: np.ndarray, varying=None) -> BlockPlan:
+    """Block plan of the drifts whose nonzero pattern lies within that of
+    ``a`` (n, n) and whose entries outside the rows and columns ``varying``
+    equal those of ``a``.
+
+    A pattern that contains a drift's pattern gives a block-triangular form
+    of that drift too.  A 2x2 block without a ``varying`` index is the same
+    in every drift, so whether it is a damped rotation is read off ``a``
+    once; with ``varying`` None (any entry may vary) every 2x2 block stays
+    in ``blocks`` and is checked per drift.
+    """
+    a = np.asarray(a)
+    order, starts, stops = _block_order(a)
+    needed = stops - starts > 1
+    if varying is not None:
+        fixed = np.ones(a.shape[0], dtype=bool)
+        fixed[list(varying)] = False
+        pairs = np.flatnonzero(stops - starts == 2)
+        i, k = order[starts[pairs]], order[starts[pairs] + 1]
+        rotations = (a[k, k] == a[i, i]) & (a[k, i] == -a[i, k])
+        needed[pairs[fixed[i] & fixed[k] & rotations]] = False
+    blocks = zip(starts[needed].tolist(), stops[needed].tolist())
+    return BlockPlan(order=order, blocks=tuple(blocks))
+
+
+def _permuted(x: np.ndarray, plan: BlockPlan) -> np.ndarray:
+    """x[..., order][..., :, order] of a matrix or stack, in one pass."""
+    return x[..., plan.order[:, None], plan.order]
 
 
 def _schur(block: np.ndarray) -> tuple:
@@ -142,31 +185,25 @@ def _unsorted(*_eigenvalue) -> bool:
     return False
 
 
-def _block_schur(a: np.ndarray) -> tuple:
-    """Real block Schur form of a stack ``a`` (B, n, n) whose matrices share
-    one nonzero pattern.
+def _schur_forms(u: np.ndarray, plan: BlockPlan) -> list:
+    """Bring the stack ``u`` (B, n, n), already in the plan's order, to real
+    block Schur form in place, and return its groups.
 
-    Returns (order, u, groups).  u[b] = Z_b^T a[b][order][:, order] Z_b is
-    quasi upper triangular in Schur canonical form (1x1 blocks and 2x2
-    blocks [[alpha, beta], [gamma, alpha]] with beta gamma < 0), so its
-    diagonal holds the real parts of the eigenvalues.  Z_b is orthogonal and
-    block diagonal over the blocks of the order.  It is the identity on
-    1x1 blocks and on damped rotations [[alpha, beta], [-beta, alpha]]
-    (every chain node), which already are canonical, with the exact
-    eigenvalues alpha -+ i beta; every other block gets a real Schur form
-    (LAPACK dgees).  Each group (lo, hi, z) is one block [lo, hi) that some matrix
-    of the stack transforms, with Z_b[lo:hi, lo:hi] = z[b].
+    Afterwards u[b] = Z_b^T u0[b] Z_b is quasi upper triangular in Schur
+    canonical form (1x1 blocks and 2x2 blocks [[alpha, beta], [gamma,
+    alpha]] with beta gamma < 0), so its diagonal holds the real parts of
+    the eigenvalues.  Z_b is orthogonal and block diagonal over the blocks
+    of the plan.  It is the identity on 1x1 blocks and on damped rotations
+    [[alpha, beta], [-beta, alpha]] (every chain node), which already are
+    canonical, with the exact eigenvalues alpha -+ i beta; every other block
+    gets a real Schur form (LAPACK dgees).  Each group (lo, hi, z) is one
+    block [lo, hi) that some matrix of the stack transforms, with
+    Z_b[lo:hi, lo:hi] = z[b].
     """
-    if not np.isfinite(a).all():
-        raise EigenFailureError("matrix has non-finite entries")
-    order, starts, stops = _block_order(a[0])
-    u = a[:, order][:, :, order]
     groups = []
-    for lo, hi in zip(starts.tolist(), stops.tolist()):
+    for lo, hi in plan.blocks:
         block = u[:, lo:hi, lo:hi]
-        if hi - lo == 1:
-            continue
-        canonical = np.zeros(a.shape[0], dtype=bool)
+        canonical = np.zeros(u.shape[0], dtype=bool)
         if hi - lo == 2:
             canonical = (block[:, 1, 1] == block[:, 0, 0]) & (
                 block[:, 1, 0] == -block[:, 0, 1]
@@ -179,21 +216,19 @@ def _block_schur(a: np.ndarray) -> tuple:
         for b in np.flatnonzero(~canonical).tolist():
             t[b], z[b] = _schur(block[b])
         groups.append((lo, hi, z))
-        u = _congruence([groups[-1]], u)
+        _congruence([groups[-1]], u)
         u[:, lo:hi, lo:hi] = t
-    return order, u, groups
+    return groups
 
 
-def _congruence(groups, x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Z^T x Z for each matrix of the stack ``x``, or Z x Z^T with
+def _congruence(groups, x: np.ndarray, inverse: bool = False) -> None:
+    """Replace each matrix of the stack ``x`` by Z^T x Z, or by Z x Z^T with
     ``inverse``, where Z is the block-diagonal orthogonal matrix of
     ``groups`` (identity outside them)."""
-    x = x.copy()
     for lo, hi, z in groups:
         left = z if inverse else _transpose(z)
         x[:, lo:hi] = left @ x[:, lo:hi]
         x[:, :, lo:hi] = x[:, :, lo:hi] @ _transpose(left)
-    return x
 
 
 def _abscissa(u: np.ndarray) -> np.ndarray:
@@ -205,6 +240,12 @@ def _transpose(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise EigenFailureError("matrix has non-finite entries")
+    return a
+
+
 def spectral_abscissa(a: np.ndarray) -> float:
     """Largest real part of the eigenvalues of ``a``.
 
@@ -213,7 +254,10 @@ def spectral_abscissa(a: np.ndarray) -> float:
     A cascade's chain nodes, whose one-way couplings make one large
     defective cluster of the whole drift, never enter an eigensolver.
     """
-    _, u, _ = _block_schur(np.asarray(a, dtype=float)[None])
+    a = _finite(np.asarray(a, dtype=float))
+    plan = block_plan(a)
+    u = _permuted(a, plan)[None]
+    _schur_forms(u, plan)
     return float(_abscissa(u)[0])
 
 
@@ -263,11 +307,34 @@ def spectral_decomposition(a: np.ndarray) -> SpectralDecomposition:
     )
 
 
+def _parts(size: int) -> list:
+    """Slices that cut a stack of ``size`` matrices into at most _PARTS
+    parts, so that a temporary of one part is a fraction of the stack."""
+    step = max(1, -(-size // _PARTS))
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
+
+
+def _symmetrize(x: np.ndarray) -> None:
+    """Replace each matrix of the stack ``x`` by (x + x^T) / 2, in place."""
+    for part in _parts(x.shape[0]):
+        np.add(x[part], _transpose(x[part]), out=x[part])
+    x /= 2.0
+
+
 def _residual_errors(a: np.ndarray, v: np.ndarray, noise: np.ndarray, label: str) -> list:
     """For each matrix of the stacks, None or the ResidualTooLargeError of a
-    steady state that violates the residual contract."""
+    steady state that violates the residual contract.
+
+    The residuals are formed a part of the stack at a time.
+    """
     limits = RESIDUAL_RTOL * np.maximum(1.0, np.abs(noise).max(axis=(-2, -1)))
-    res = np.abs(a @ v + v @ _transpose(a) + noise).max(axis=(-2, -1))
+    noise = np.broadcast_to(noise, v.shape)
+    res = np.empty(v.shape[0])
+    for part in _parts(v.shape[0]):
+        r = a[part] @ v[part]
+        r += v[part] @ _transpose(a[part])
+        r += noise[part]
+        res[part] = np.abs(r, out=r).max(axis=(-2, -1))
     return [
         None
         if r <= limit
@@ -363,72 +430,85 @@ def solve_steady_state_spectral(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return states[0]
 
 
-def solve_steady_states(a: np.ndarray, noise: np.ndarray, cutoff: float = 0.0) -> tuple:
+def solve_steady_states(
+    a: np.ndarray,
+    noise: np.ndarray,
+    cutoff: float = 0.0,
+    plan: BlockPlan | None = None,
+    overwrite_a: bool = False,
+) -> tuple:
     """Structured steady states of a stack of drifts ``a`` (B, n, n) under
     one diffusion ``noise`` (n, n) or one per drift (B, n, n).
 
-    The drifts are grouped by nonzero pattern and each group's block form
-    (see ``solve_steady_state_spectral``) is built once.  It gives every
-    drift's spectral abscissa, and the drifts whose abscissa is below
-    ``cutoff`` (at most 0) go on to the triangular Sylvester solve, one
-    dtrsyl call each; every other step acts on the whole stack at once.
-    Each drift's result depends on that drift alone, never on the rest of
-    the stack.
+    Every drift takes the block form of ``plan`` (see
+    ``solve_steady_state_spectral``); by default, the plan of the stack's
+    union nonzero pattern.  It gives every drift's spectral abscissa, and
+    the drifts whose abscissa is below ``cutoff`` (at most 0) go on to the
+    triangular Sylvester solve, one dtrsyl call each; every other step acts
+    on the whole stack at once.  Each drift's result depends on that drift
+    and the plan alone, never on the rest of the stack.
+
+    The solve holds two stacks of the shape of ``a``: the drifts in the
+    block order, brought to Schur form and back, which ends up holding the
+    states, and the right-hand side, which becomes the solution.  With
+    ``overwrite_a`` the right-hand side takes the memory of ``a``, whose
+    contents are then lost.  The residual contract is checked in the block
+    order, a part of the stack at a time.
 
     Returns (abscissa, states, errors): abscissa has shape (B,); errors[b]
     is None or the error ``solve_steady_state_spectral`` raises for drift b
     (UnstableError when its abscissa is not below ``cutoff``); states[b] is
     its steady state where errors[b] is None and undefined otherwise.
     """
-    a = np.asarray(a, dtype=float)
-    noise = np.broadcast_to(np.asarray(noise, dtype=float), a.shape)
-    abscissa = np.empty(a.shape[0])
-    states = np.zeros(a.shape)
-    errors = [None] * a.shape[0]
-    for members in _pattern_classes(a):
-        order, u, groups = _block_schur(a[members])
-        abscissa[members] = _abscissa(u)
-        live = abscissa[members] < cutoff
-        for b in members[~live].tolist():
-            errors[b] = UnstableError(
-                "dynamics has no decaying steady state "
-                f"(spectral abscissa {abscissa[b]:.3e} >= {cutoff:.3g})"
-            )
-        if live.any():
-            solved = members[live]
-            states[solved], failures = _sylvester(
-                a[solved],
-                noise[solved],
-                order,
-                u[live],
-                [(lo, hi, z[live]) for lo, hi, z in groups],
-            )
-            for b, error in zip(solved.tolist(), failures):
-                errors[b] = error
-    return abscissa, states, errors
+    a = _finite(np.asarray(a, dtype=float))
+    if plan is None:
+        plan = block_plan((a != 0).any(axis=0))
+    u = _permuted(a, plan)
+    noise = _permuted(np.asarray(noise, dtype=float), plan)
+    # right-hand side C = -(N + A + A^T) in the block order
+    c = np.add(noise, u, out=a if overwrite_a else None)
+    c += _transpose(u)
+    np.negative(c, out=c)
+    # the rows and columns the Schur bases change, to restore A afterwards
+    saved = [
+        (lo, hi, u[:, lo:hi].copy(), u[:, :, lo:hi].copy()) for lo, hi in plan.blocks
+    ]
+    groups = _schur_forms(u, plan)
+    _congruence(groups, c)
 
-
-def _sylvester(a, noise, order, u, groups) -> tuple:
-    """Steady states of a stack of stable drifts from their shared block
-    form; returns (states, errors) with errors[b] None or an EntflowError."""
-    rhs = -(noise + a + _transpose(a))[:, order][:, :, order]
-    c = _congruence(groups, rhs)
-    errors = [None] * a.shape[0]
-    y = np.zeros_like(c)
-    for b in range(a.shape[0]):
-        y_b, scale, info = scipy.linalg.lapack.dtrsyl(u[b], u[b], c[b], tranb="T")
+    abscissa = _abscissa(u)
+    errors = [
+        None
+        if value < cutoff
+        else UnstableError(
+            "dynamics has no decaying steady state "
+            f"(spectral abscissa {value:.3e} >= {cutoff:.3g})"
+        )
+        for value in abscissa.tolist()
+    ]
+    c[abscissa >= cutoff] = 0.0
+    for b in np.flatnonzero(abscissa < cutoff).tolist():
+        y, scale, info = scipy.linalg.lapack.dtrsyl(u[b], u[b], c[b], tranb="T")
         if info != 0:
             errors[b] = SingularSystemError(
                 f"triangular Sylvester solve failed (LAPACK info {info})"
             )
+            c[b] = 0.0
         else:
-            y[b] = y_b / scale
-    inverse = np.argsort(order)
-    deviation = _congruence(groups, y, inverse=True)[:, inverse][:, :, inverse]
-    v = np.eye(a.shape[-1]) + deviation
-    v = (v + _transpose(v)) / 2.0
-    residual = _residual_errors(a, v, noise, "structured")
-    return v, [error or late for error, late in zip(errors, residual)]
+            c[b] = y / scale
+
+    for lo, hi, rows, columns in saved:
+        u[:, lo:hi] = rows
+        u[:, :, lo:hi] = columns
+    # V = I + Z Y Z^T, symmetrized, checked, and scattered back to the
+    # drift's order
+    _congruence(groups, c, inverse=True)
+    c += np.eye(c.shape[-1])
+    _symmetrize(c)
+    residual = _residual_errors(u, c, noise, "structured")
+    states = u
+    states[:, plan.order[:, None], plan.order] = c
+    return abscissa, states, [error or late for error, late in zip(errors, residual)]
 
 
 def evolve_covariance(

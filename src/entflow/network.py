@@ -288,10 +288,26 @@ def build_drift_stack(net: ValidatedNetwork, r, j) -> np.ndarray:
     for k in range(2, m + 1):
         a[:, 2 * k : 2 * k + 2, 2 * k - 2 : 2 * k] = -net.gamma * I2
     coupling = j * I_SIGMA_Y
-    end = 1 if net.direction is Direction.FORWARD else m
+    end = _coupled_node(net)
     a[:, 0:2, 2 * end : 2 * end + 2] += coupling
     a[:, 2 * end : 2 * end + 2, 0:2] += coupling
     return a
+
+
+def _coupled_node(net: ValidatedNetwork) -> int:
+    """The chain node the source couples to: the head (Forward) or the tail."""
+    return 1 if net.direction is Direction.FORWARD else net.M
+
+
+def source_coupling(net: ValidatedNetwork) -> np.ndarray:
+    """The drift's derivative in j: i*sigma_y between the source and the
+    chain node it couples to, in both blocks.  Every drift of
+    ``build_drift_stack`` is its j = 0 drift plus j times this matrix."""
+    c = np.zeros((net.dim, net.dim))
+    end = 2 * _coupled_node(net)
+    c[0:2, end : end + 2] = I_SIGMA_Y
+    c[end : end + 2, 0:2] = I_SIGMA_Y
+    return c
 
 
 def build_input_matrix(net: ValidatedNetwork) -> np.ndarray:

@@ -7,16 +7,19 @@ reaches into the chain, and the occupation of the deepest entangled node.
 Unstable points carry no steady-state quantities (empty CSV cells).
 
 Only the source block of the drift depends on (r, j), so the grid is
-carried as a leading batch axis: one stack of drifts, one block order per
-nonzero pattern, stability from the same per-block factorization the solve
-uses, a triangular Sylvester solve for the stable points only, and every
-pair entanglement on every (point, node) pair from stacked closed forms.
-The batch is cut into slices under a fixed working-set budget.
+carried as a leading batch axis: one stack of drifts, stability from the
+same per-block factorization the solve uses, a triangular Sylvester solve
+for the stable points only, and every pair entanglement on every (point,
+node) pair from stacked closed forms.  One block plan serves the whole
+network: its nonzero pattern with the source coupling holds every grid
+point's, j = 0 included.  The batch is cut into slices under a fixed
+working-set budget, counted from the stacks the engine holds at once.
 Physicality does not depend on (r, j) at all: one certificate of the
 generator (``certify_physicality``) per sweep proves every stable steady
 state physical, and the per-state test runs only where the certificate
-fails.  ``run_point`` is the same engine on a batch of one, and a point's
-result never depends on the batch it was computed in.
+fails.  ``run_point`` is the same engine, under the same plan, on a batch
+of one, and a point's result never depends on the batch it was computed
+in.
 
 Everything here is deterministic: no randomness, no timestamps.
 """
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, EntflowError, MissingDirectionError
-from .lyapunov import STABILITY_MARGIN, solve_steady_states
+from .lyapunov import STABILITY_MARGIN, BlockPlan, block_plan, solve_steady_states
 from .measures import (
     certify_physicality,
     log_negativity,
@@ -43,15 +46,22 @@ from .network import (
     build_drift_stack,
     build_dynamical_matrix,
     build_noise_matrix,
+    source_coupling,
     validate_config,
 )
 
 # E_N at or below this counts as no entanglement (numerical zero).
 ENTANGLEMENT_THRESHOLD = 1e-10
-# Working set of one batch slice in bytes, counting ten (2M+2)x(2M+2)
-# matrices of 16-byte entries per point (more than the engine holds); from
-# M = 40 on, a slice is a single point.
+# Working set of one batch slice in bytes.  Per point, the engine holds at
+# most _STACKS_PER_POINT (2M+2)x(2M+2) matrices of 8-byte entries at once:
+# in the solve, the block form and the right-hand side (in the drifts'
+# memory) plus temporaries made a part of the stack at a time; in the
+# measures, the solved states and the pair kernel's 4x4 stacks.  A full
+# slice peaks at 2.7 such matrices per point at M = 10 and 2.6 at M = 30
+# (tracemalloc).  An 11x11 grid at M = 10 is one slice; from M = 104 on, a
+# slice is a single point.
 _BATCH_BYTES = 2 << 20
+_STACKS_PER_POINT = 3
 
 FIGURE_NAMES = ("nonreciprocity", "depth", "occupation", "stability")
 
@@ -103,6 +113,7 @@ class SweepGrid:
     base: NetworkConfig
     direction: Direction
     results: tuple
+    passes: int | None = None  # solver passes (slices) of the sweep
 
 
 @dataclass(frozen=True)
@@ -137,6 +148,18 @@ def _deepest(en: np.ndarray, threshold: float) -> list:
     return np.where(above.any(axis=1), depth, 0).tolist()
 
 
+def _grid_plan(net: ValidatedNetwork, drift: np.ndarray) -> BlockPlan:
+    """One block plan for the drifts of ``net`` at every (r, j), from its
+    drift ``drift`` at any one of them.
+
+    Only the source's rows and columns depend on (r, j).  With the source
+    coupling in it, the pattern contains every grid point's (j = 0 only
+    removes that coupling, and r acts on the diagonal), so it is block
+    triangular for all of them, and j = 0 points share the plan of the rest.
+    """
+    return block_plan(drift + source_coupling(net), varying=(0, 1))
+
+
 def _summaries(
     net: ValidatedNetwork,
     r: np.ndarray,
@@ -144,9 +167,11 @@ def _summaries(
     drifts: np.ndarray,
     noise: np.ndarray,
     certified: bool,
+    plan: BlockPlan,
 ) -> list:
     """PointResults of ``net`` at the points (r[b], j[b]), with drifts
-    ``drifts[b]`` and diffusion ``noise``, in one batch.
+    ``drifts[b]`` and diffusion ``noise``, in one batch under the block
+    plan ``plan``.  The solve overwrites ``drifts``.
 
     ``certified`` is ``certify_physicality`` of the network: when it holds,
     every stable, solved point is physical; otherwise the per-state test
@@ -157,10 +182,16 @@ def _summaries(
     the first one in the order solve, physicality (per-state test only),
     pair entanglement.
     """
-    abscissa, states, errors = solve_steady_states(drifts, noise, -STABILITY_MARGIN)
+    abscissa, states, errors = solve_steady_states(
+        drifts, noise, -STABILITY_MARGIN, plan, overwrite_a=True
+    )
+    # drop the solve's scratch and, below, the unsolved states, so that the
+    # measures hold only the solved states and the pair kernel
+    del drifts
     stable = abscissa < -STABILITY_MARGIN
     solved = [b for b in np.flatnonzero(stable).tolist() if errors[b] is None]
     v = states[solved]
+    del states
     if certified:
         physical = np.ones(len(solved), dtype=bool)
     else:
@@ -219,7 +250,7 @@ def _summaries(
 
 def run_point(net: ValidatedNetwork) -> PointResult:
     """Solve one operating point and summarize it: the sweep engine on a
-    batch of one.
+    batch of one, under the block plan a sweep of ``net`` would use.
 
     Unstable dynamics is a finding, not an error: the point comes back with
     stable = False and no steady-state fields.  Solver failures on stable
@@ -229,7 +260,8 @@ def run_point(net: ValidatedNetwork) -> PointResult:
     drifts = build_drift_stack(net, r, j)
     noise = build_noise_matrix(net)
     certified = certify_physicality(drifts[0], noise)
-    return _summaries(net, r, j, drifts, noise, certified)[0]
+    plan = _grid_plan(net, drifts[0])
+    return _summaries(net, r, j, drifts, noise, certified, plan)[0]
 
 
 def sweep_grid(
@@ -242,8 +274,8 @@ def sweep_grid(
 
     ``direction`` overrides the base configuration's direction when given.
     The grid runs through the batched engine in slices of at most a fixed
-    working set, under one physicality certificate of the generator; each
-    point's result is the one run_point gives for it.
+    working set, under one block plan and one physicality certificate of
+    the generator; each point's result is the one run_point gives for it.
     """
     r_values = np.asarray(r_values, dtype=float)
     j_values = np.asarray(j_values, dtype=float)
@@ -262,13 +294,16 @@ def sweep_grid(
     r_flat = np.repeat(r_values, j_values.size) / net.frequency_scale
     j_flat = np.tile(j_values, r_values.size) / net.frequency_scale
     noise = build_noise_matrix(net)
-    certified = certify_physicality(build_dynamical_matrix(net), noise)
-    step = max(1, _BATCH_BYTES // (10 * 16 * net.dim * net.dim))
+    drift = build_dynamical_matrix(net)
+    certified = certify_physicality(drift, noise)
+    plan = _grid_plan(net, drift)
+    step = max(1, _BATCH_BYTES // (_STACKS_PER_POINT * 8 * net.dim * net.dim))
     flat = []
     for lo in range(0, r_flat.size, step):
         r, j = r_flat[lo : lo + step], j_flat[lo : lo + step]
-        drifts = build_drift_stack(net, r, j)
-        flat.extend(_summaries(net, r, j, drifts, noise, certified))
+        flat.extend(
+            _summaries(net, r, j, build_drift_stack(net, r, j), noise, certified, plan)
+        )
 
     n_j = j_values.size
     rows = tuple(tuple(flat[i * n_j : (i + 1) * n_j]) for i in range(r_values.size))
@@ -278,6 +313,7 @@ def sweep_grid(
         base=base,
         direction=direction,
         results=rows,
+        passes=-(-r_flat.size // step),
     )
 
 

@@ -192,3 +192,15 @@ def log_negativity_by_eigenvalues(v: np.ndarray, k: int, m: int) -> float:
     """E_N between modes k and m from the partially transposed spectrum."""
     idx = [2 * k, 2 * k + 1, 2 * m, 2 * m + 1]
     return max(0.0, -float(np.log(2.0 * ppt_nu_min_eigen(v[np.ix_(idx, idx)]))))
+
+
+def certificate_dense(a: np.ndarray, noise: np.ndarray, rtol: float = 1e-12) -> bool:
+    """Q = N - i (A Omega + Omega A^T) >= 0 by a dense Cholesky factorization
+    of Q + rtol ||Q||_max I."""
+    omega = omega_form(a.shape[0] // 2)
+    q = noise - 1j * (a @ omega + omega @ a.T)
+    try:
+        np.linalg.cholesky(q + rtol * np.abs(q).max() * np.eye(q.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -12,6 +12,7 @@ import pytest
 import scipy
 
 import entflow
+from entflow import solve_steady_states
 from entflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -199,6 +200,37 @@ def test_figure_nonreciprocity_runs_both_directions(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 4 * 3
     manifest = json.loads((tmp_path / "nonreciprocity.csv.manifest.json").read_text())
     assert manifest["directions"] == ["forward", "backward"]
+    assert set(manifest["sweeps"]) == {"forward", "backward"}
+
+
+def test_manifest_records_sweep_statistics(tmp_path, capsys, monkeypatch):
+    # r up to 2 crosses the stability boundary; the 11x11 grid of the
+    # 10-node chain is one solver pass
+    out, argv = figure_args(tmp_path, "stability", "--range", "0:2,0:1", "--grid", "11x11")
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    manifest = json.loads((tmp_path / "stability.csv.manifest.json").read_text())
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    unstable = sum(row.split(",")[2] == "false" for row in rows)
+    assert manifest["sweeps"] == {
+        "forward": {"passes": 1, "stable": 121 - unstable, "unstable": unstable, "failed": 0}
+    }
+    assert 0 < unstable < 121
+
+    # a failed point counts as failed, not as stable; the other rows stay
+    def failing(*args, **kwargs):
+        abscissa, states, errors = solve_steady_states(*args, **kwargs)
+        errors[0] = entflow.ResidualTooLargeError("planted")
+        return abscissa, states, errors
+
+    before = out.read_bytes()
+    monkeypatch.setattr("entflow.sweep.solve_steady_states", failing)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    manifest = json.loads((tmp_path / "stability.csv.manifest.json").read_text())
+    assert manifest["sweeps"]["forward"] == {
+        "passes": 1, "stable": 121 - unstable - 1, "unstable": unstable, "failed": 1
+    }
+    after = out.read_text(encoding="utf-8").splitlines()
+    assert after[2:] == before.decode("utf-8").splitlines()[2:]
 
 
 def test_figure_repeat_runs_are_byte_identical(tmp_path, capsys):

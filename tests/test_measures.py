@@ -295,6 +295,25 @@ def test_certificate_holds_for_chains_and_fails_below_the_vacuum(m):
         assert not certify_physicality(a, 0.5 * noise)
 
 
+@pytest.mark.parametrize("m", [1, 3, 10, 100, 500])
+def test_banded_certificate_matches_the_dense_factorization(m):
+    warm = {
+        "omega": tuple(1.0 + 0.01 * (k % 7) for k in range(m + 1)),
+        "nbar_local": 0.01,
+        "nbar_common": 0.02,
+    }
+    for direction in Direction:
+        for overrides in ({}, warm):
+            net = validate_config(
+                replace(DEFAULT_CONFIG, M=m, r=0.3, j=0.7, direction=direction, **overrides)
+            )
+            a, noise = build_dynamical_matrix(net), build_noise_matrix(net)
+            for scale in (1.0, 0.5):
+                expected = oracles.certificate_dense(a, scale * noise)
+                assert certify_physicality(a, scale * noise) == expected
+                assert expected == (scale == 1.0)
+
+
 def test_certificate_without_dissipation_is_not_given():
     # no bath at all: Q = 0, and no drift of that kind is stable
     net = validate_config(replace(DEFAULT_CONFIG, gamma=0.0, gamma_out=0.0, r=0.2))

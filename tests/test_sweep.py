@@ -150,8 +150,8 @@ def test_backward_upstream_nodes_do_not_see_the_source(monkeypatch):
     # their covariance blocks must come out bitwise the same for every (r, j)
     states = []
 
-    def recording(a, noise, cutoff=0.0):
-        abscissa, v, errors = solve_steady_states(a, noise, cutoff)
+    def recording(*args, **kwargs):
+        abscissa, v, errors = solve_steady_states(*args, **kwargs)
         states.extend(v[b] for b, error in enumerate(errors) if error is None)
         return abscissa, v, errors
 
@@ -175,8 +175,8 @@ def test_point_failures_stay_with_their_point(monkeypatch):
     # single-point functions give, and the rest of the batch is unaffected
     planted = {}
 
-    def failing(a, noise, cutoff=0.0):
-        abscissa, v, errors = solve_steady_states(a, noise, cutoff)
+    def failing(*args, **kwargs):
+        abscissa, v, errors = solve_steady_states(*args, **kwargs)
         errors[0] = ResidualTooLargeError("planted")
         v[1][0:2, 4:6] = v[1][4:6, 0:2] = 5.0 * np.eye(2)
         planted["state"] = v[1].copy()
@@ -229,6 +229,48 @@ def test_certificate_is_computed_once_per_sweep(monkeypatch):
     assert len(certificates) == 1
     run_point(make_net(r=0.1, j=0.5))
     assert len(certificates) == 2
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+def test_j_zero_points_do_not_depend_on_their_slice(monkeypatch, direction, warm):
+    # j = 0 removes the source coupling from the drift, but every point takes
+    # the network's one block plan, so a j = 0 point comes out bitwise the
+    # same alone, among j = 0 points only and among j != 0 points
+    plans = []
+
+    def recording(a, noise, cutoff, plan, **kwargs):
+        plans.append(plan)
+        return solve_steady_states(a, noise, cutoff, plan, **kwargs)
+
+    monkeypatch.setattr("entflow.sweep.solve_steady_states", recording)
+    base = replace(oracle_base(10, warm), direction=direction)
+    r_values = [0.0, 0.3]
+    alone = [
+        run_point(validate_config(replace(base, r=r, j=0.0, direction=direction)))
+        for r in r_values
+    ]
+    only = sweep_grid(base, r_values, [0.0])
+    mixed = sweep_grid(base, r_values, [0.0, 0.2, 0.5])
+    for i, point in enumerate(alone):
+        assert point.stable and point.solver_error is None
+        assert repr(only.results[i][0]) == repr(point)
+        assert repr(mixed.results[i][0]) == repr(point)
+    assert len(plans) == 4
+    for plan in plans[1:]:
+        assert np.array_equal(plan.order, plans[0].order)
+        assert plan.blocks == plans[0].blocks
+
+
+def test_block_plan_is_built_once_per_sweep(monkeypatch):
+    plans = counting(monkeypatch, "block_plan")
+    # a working set too small for two points: every slice holds one point
+    monkeypatch.setattr("entflow.sweep._BATCH_BYTES", 1)
+    grid = sweep_grid(DEFAULT_CONFIG, [0.0, 0.1, 0.3], [0.0, 0.5, 0.9, 1.2])
+    assert grid.passes == 12
+    assert len(plans) == 1
+    run_point(make_net(r=0.1, j=0.0))
+    assert len(plans) == 2
 
 
 def test_sub_vacuum_diffusion_falls_back_to_the_per_state_test(monkeypatch):
