@@ -69,11 +69,14 @@ from .sweep import (
     FIGURE_NAMES,
     FigureTable,
     PointResult,
+    SweepColumns,
     SweepGrid,
     export_csv,
     figure_dataset,
+    figure_fields,
     max_entangled_node,
     run_point,
+    sweep_columns,
     sweep_grid,
 )
 from .config_io import (

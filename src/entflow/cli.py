@@ -40,7 +40,14 @@ from .network import (
     config_violations,
     validate_config,
 )
-from .sweep import FIGURE_NAMES, figure_dataset, run_point, sweep_grid, export_csv
+from .sweep import (
+    FIGURE_NAMES,
+    csv_header,
+    figure_fields,
+    figure_lines,
+    run_point,
+    sweep_columns,
+)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -202,24 +209,40 @@ def _environment() -> dict:
     }
 
 
-def _sweep_statistics(grid) -> dict:
-    """Solver passes of one sweep and the counts of its stable (solved),
-    unstable and failed (``solver_error``) points, which add up to the grid."""
-    points = [point for row in grid.results for point in row]
-    unstable = sum(not point.stable for point in points)
-    failed = sum(point.solver_error is not None for point in points)
-    return {
-        "passes": grid.passes,
-        "stable": len(points) - unstable - failed,
-        "unstable": unstable,
-        "failed": failed,
-    }
+def _write_figure(name: str, cfg, r_values, j_values, directions, handle) -> tuple:
+    """Sweep every direction of figure ``name`` slice by slice, computing
+    only the fields the figure writes, and stream its CSV into the binary
+    ``handle``.
 
-
-def _sha256_of(path: Path) -> str:
+    Returns (SHA-256 of the bytes written, rows written, per direction the
+    sweep's statistics: solver passes and the counts of stable (solved),
+    unstable and failed points, which add up to the grid).
+    """
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+
+    def write(text: str) -> None:
+        data = text.encode("utf-8")
+        digest.update(data)
+        handle.write(data)
+
+    write(csv_header(name))
+    rows = 0
+    sweeps = {}
+    for direction in directions:
+        counts = {"passes": 0, "stable": 0, "unstable": 0, "failed": 0}
+        wanted = figure_fields(name, direction)
+        for columns in sweep_columns(cfg, r_values, j_values, direction, wanted):
+            write(figure_lines(name, columns))
+            size = columns.r.size
+            failed = sum(error is not None for error in columns.errors)
+            unstable = size - int(columns.stable.sum())
+            counts["passes"] += 1
+            counts["stable"] += size - unstable - failed
+            counts["unstable"] += unstable
+            counts["failed"] += failed
+            rows += size
+        sweeps[direction.value] = counts
+    return digest.hexdigest(), rows, sweeps
 
 
 def cmd_figure(args) -> int:
@@ -236,13 +259,19 @@ def cmd_figure(args) -> int:
 
     r_values = np.linspace(r_lo, r_hi, n_r)
     j_values = np.linspace(j_lo, j_hi, n_j)
-    grids = [sweep_grid(cfg, r_values, j_values, direction) for direction in directions]
-    table = figure_dataset(args.name, grids)
-
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
     manifest_path = out.with_name(out.name + ".manifest.json")
     try:
-        export_csv(table, out)
+        with open(out, "wb") as handle:
+            try:
+                digest, rows, sweeps = _write_figure(
+                    args.name, cfg, r_values, j_values, directions, handle
+                )
+            except BaseException:
+                # leave no partial table behind
+                handle.close()
+                out.unlink(missing_ok=True)
+                raise
         manifest = {
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -253,8 +282,8 @@ def cmd_figure(args) -> int:
                 "r_values": [float(v) for v in r_values],
                 "j_values": [float(v) for v in j_values],
             },
-            "sweeps": {grid.direction.value: _sweep_statistics(grid) for grid in grids},
-            "outputs": {out.name: _sha256_of(out)},
+            "sweeps": sweeps,
+            "outputs": {out.name: digest},
             "environment": _environment(),
         }
         with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
@@ -264,7 +293,7 @@ def cmd_figure(args) -> int:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    print(f"wrote {out} ({len(table.rows)} rows)")
+    print(f"wrote {out} ({rows} rows)")
     print(f"wrote {manifest_path}")
     return EXIT_OK
 

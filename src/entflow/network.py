@@ -279,14 +279,18 @@ def build_drift_stack(net: ValidatedNetwork, r, j) -> np.ndarray:
     r = np.asarray(r, dtype=float)[:, None, None]
     j = np.asarray(j, dtype=float)[:, None, None]
     m = net.M
+    # node_damping of every node, accumulated in its order: the distinct
+    # bath, then the left and the right cascade link
+    damping = np.full(m + 1, net.gamma_out)
+    damping[2:] += net.gamma
+    damping[1:m] += net.gamma
+    blocks = -(damping / 2.0)[:, None, None] * I2 + net.omega[:, None, None] * I_SIGMA_Y
     a = np.zeros((r.shape[0], net.dim, net.dim))
-    for k in range(m + 1):
-        block = -(node_damping(net, k) / 2.0) * I2 + net.omega[k] * I_SIGMA_Y
-        if k == 0:
-            block = block - r * SIGMA_Z
-        a[:, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    for k in range(2, m + 1):
-        a[:, 2 * k : 2 * k + 2, 2 * k - 2 : 2 * k] = -net.gamma * I2
+    nodes = a.reshape(r.shape[0], m + 1, 2, m + 1, 2)  # nodes[:, k, :, l, :] is block (k, l)
+    chain = np.arange(1, m + 1)
+    nodes[:, chain, :, chain, :] = blocks[1:, None]
+    nodes[:, chain[1:], :, chain[:-1], :] = -net.gamma * I2
+    a[:, 0:2, 0:2] = blocks[0] - r * SIGMA_Z
     coupling = j * I_SIGMA_Y
     end = _coupled_node(net)
     a[:, 0:2, 2 * end : 2 * end + 2] += coupling
@@ -347,18 +351,17 @@ def build_noise_matrix(net: ValidatedNetwork) -> np.ndarray:
     cannot masquerade as squeezing.
     """
     m = net.M
+    # every bath's weight; node k adds its distinct bath, then the common
+    # baths of its left and its right link (node_damping's order)
+    common = net.gamma * (2.0 * net.nbar_common + 1.0)
+    total = net.gamma_out * (2.0 * net.nbar_local + 1.0)
+    total[2:] += common
+    total[1:m] += common
     n = np.zeros((net.dim, net.dim))
-    for k in range(m + 1):
-        total = net.gamma_out * (2.0 * net.nbar_local[k] + 1.0)
-        for link in _attached_links(k, m):
-            total += net.gamma * (2.0 * net.nbar_common[link] + 1.0)
-        n[2 * k, 2 * k] = total
-        n[2 * k + 1, 2 * k + 1] = total
-    for l in range(1, m):
-        weight = net.gamma * (2.0 * net.nbar_common[l - 1] + 1.0)
-        for off in (0, 1):
-            n[2 * l + off, 2 * (l + 1) + off] = weight
-            n[2 * (l + 1) + off, 2 * l + off] = weight
+    diagonal = np.arange(net.dim)
+    n[diagonal, diagonal] = np.repeat(total, 2)
+    upper = np.arange(2, 2 * m)  # quadratures of nodes 1..M-1
+    n[upper, upper + 2] = n[upper + 2, upper] = np.repeat(common, 2)
     return n
 
 

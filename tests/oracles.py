@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from entflow import Direction, ValidatedNetwork
+from entflow import Direction, ValidatedNetwork, node_damping
 
 # (x, p)^T = U_MODE (a, a+)^T
 U_MODE = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
@@ -80,6 +80,73 @@ def noise_element_formula(b: np.ndarray, occupations: np.ndarray) -> np.ndarray:
                 )
             noise[i, j] = total
     return noise
+
+
+def drift_stack_per_node(net: ValidatedNetwork, r, j) -> np.ndarray:
+    """``build_drift_stack`` assigned node by node, every entry by the same
+    floating-point operations in the same order."""
+    i2 = np.eye(2)
+    sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    i_sigma_y = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    r = np.asarray(r, dtype=float)[:, None, None]
+    j = np.asarray(j, dtype=float)[:, None, None]
+    m = net.M
+    a = np.zeros((r.shape[0], net.dim, net.dim))
+    for k in range(m + 1):
+        block = -(node_damping(net, k) / 2.0) * i2 + net.omega[k] * i_sigma_y
+        if k == 0:
+            block = block - r * sigma_z
+        a[:, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    for k in range(2, m + 1):
+        a[:, 2 * k : 2 * k + 2, 2 * k - 2 : 2 * k] = -net.gamma * i2
+    coupling = j * i_sigma_y
+    end = 1 if net.direction is Direction.FORWARD else m
+    a[:, 0:2, 2 * end : 2 * end + 2] += coupling
+    a[:, 2 * end : 2 * end + 2, 0:2] += coupling
+    return a
+
+
+def noise_per_node(net: ValidatedNetwork) -> np.ndarray:
+    """``build_noise_matrix`` assigned node by node and link by link, every
+    entry by the same floating-point operations in the same order."""
+    m = net.M
+    n = np.zeros((net.dim, net.dim))
+    for k in range(m + 1):
+        total = net.gamma_out * (2.0 * net.nbar_local[k] + 1.0)
+        # the common baths of the left link (k-1, k), then the right one
+        for link in ([k - 2] if k >= 2 else []) + ([k - 1] if 1 <= k <= m - 1 else []):
+            total += net.gamma * (2.0 * net.nbar_common[link] + 1.0)
+        n[2 * k, 2 * k] = total
+        n[2 * k + 1, 2 * k + 1] = total
+    for l in range(1, m):
+        weight = net.gamma * (2.0 * net.nbar_common[l - 1] + 1.0)
+        for off in (0, 1):
+            n[2 * l + off, 2 * (l + 1) + off] = weight
+            n[2 * (l + 1) + off, 2 * l + off] = weight
+    return n
+
+
+def block_order_by_closure(a: np.ndarray) -> tuple:
+    """(order, starts, stops) of ``lyapunov._block_order`` from the
+    transitive closure of the nonzero pattern, by repeated Boolean squaring.
+
+    reach[i, k] says x_i is driven by x_k, directly or through other
+    indices; i and k share a block when each reaches the other.  Blocks are
+    sorted by descending count of reached indices, then by their lowest
+    index, and hold their indices in ascending order.
+    """
+    dim = a.shape[0]
+    reach = (a != 0) | np.eye(dim, dtype=bool)
+    while True:
+        weights = reach.astype(np.float32)
+        closed = (weights @ weights) > 0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    first = (reach & reach.T).argmax(axis=1)  # lowest index of i's block
+    order = np.lexsort((first, -reach.sum(axis=1)))
+    edges = np.flatnonzero(np.diff(first[order])) + 1
+    return order, np.r_[0, edges], np.r_[edges, dim]
 
 
 def lyapunov_bartels_stewart(a: np.ndarray, noise: np.ndarray) -> np.ndarray:

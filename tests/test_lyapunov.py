@@ -21,6 +21,8 @@ from entflow import (
     stability_report,
     validate_config,
 )
+from entflow.lyapunov import _block_order
+from entflow.network import source_coupling
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -109,6 +111,23 @@ def test_abscissa_and_solve_on_permuted_block_triangular_systems():
         reference = oracles.lyapunov_bartels_stewart(a, n)
         v = solve_steady_state_spectral(a, n)
         assert np.linalg.norm(v - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("j", [0.0, 0.5])
+@pytest.mark.parametrize("gamma", [0.0, 0.8])
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 39, 100, 200])
+def test_block_order_of_chains_matches_the_closure(m, direction, gamma, j):
+    # without the cascade (gamma = 0) every chain node is its own block in
+    # any order; j = 0 splits the source from the chain
+    net = make_net(M=m, r=0.3, j=j, gamma=gamma, direction=direction)
+    a = build_dynamical_matrix(net)
+    for pattern in (a, a + source_coupling(net)):
+        order, starts, stops = _block_order(pattern)
+        reference = oracles.block_order_by_closure(pattern)
+        assert np.array_equal(order, reference[0])
+        assert np.array_equal(starts, reference[1])
+        assert np.array_equal(stops, reference[2])
 
 
 def test_chain_unstable_at_large_squeezing():

@@ -16,6 +16,7 @@ from entflow import (
     NetworkConfig,
     ZeroModesError,
     bath_occupations,
+    build_drift_stack,
     build_dynamical_matrix,
     build_input_matrix,
     build_noise_matrix,
@@ -280,6 +281,30 @@ def test_vacuum_identity_is_bitwise():
         a = build_dynamical_matrix(net)
         n = build_noise_matrix(net)
         assert np.all(a + a.T + n == 0.0)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 200])
+def test_assembly_is_bitwise_the_per_node_construction(m, direction, warm):
+    # heterogeneous frequencies, and warm baths with a different occupation
+    # on every bath, so that no two entries coincide by accident
+    overrides = dict(M=m, direction=direction, omega=tuple(1.0 + 0.03 * k for k in range(m + 1)))
+    if warm:
+        overrides.update(
+            nbar_local=tuple(0.01 * (k + 1) for k in range(m + 1)),
+            nbar_common=tuple(0.02 + 0.001 * k for k in range(m - 1)),
+        )
+    net = make_net(**overrides)
+    r, j = np.array([0.0, 0.1, 0.5]), np.array([0.7, 0.0, 0.9])
+    drifts = build_drift_stack(net, r, j)
+    noise = build_noise_matrix(net)
+    assert drifts.tobytes() == oracles.drift_stack_per_node(net, r, j).tobytes()
+    assert noise.tobytes() == oracles.noise_per_node(net).tobytes()
+    if not warm:
+        # r = 0 on cold baths: the vacuum relation cancels bitwise
+        a = drifts[0]
+        assert np.all(a + a.T + noise == 0.0)
 
 
 def test_system_matrices_bundle():

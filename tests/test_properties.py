@@ -23,6 +23,7 @@ from entflow import (
     spectral_abscissa,
     validate_config,
 )
+from entflow.lyapunov import _block_order
 
 times = st.floats(0.0, 10.0)
 # Steady-state properties are drawn away from the stability boundary, where
@@ -214,3 +215,24 @@ def test_product_states_carry_no_entanglement(first, second):
     zero = np.zeros((2, 2))
     v = np.block([[first, zero], [zero, second]])
     assert log_negativity(v).log_negativity <= 1e-12
+
+
+@st.composite
+def patterns(draw):
+    """A random nonzero pattern, from empty to dense, diagonal or not."""
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = rng.random((dim, dim)) < draw(st.floats(0.0, 0.3))
+    if draw(st.booleans()):
+        np.fill_diagonal(pattern, True)
+    return pattern
+
+
+@settings(max_examples=200)
+@given(patterns())
+def test_block_order_matches_the_transitive_closure(pattern):
+    order, starts, stops = _block_order(pattern)
+    reference = oracles.block_order_by_closure(pattern)
+    assert np.array_equal(order, reference[0])
+    assert np.array_equal(starts, reference[1])
+    assert np.array_equal(stops, reference[2])
