@@ -31,7 +31,18 @@ Time evolution needs neither a steady state nor an eigenbasis: one Van
 Loan block exponential of [[A, N], [0, -A^T]] over a step short enough to
 stay finite gives the propagator and the accumulated noise of that step,
 and repeated doubling carries both to the requested time.  It holds for
-any drift, stable or not, diagonalizable or not.  The dense
+any drift, stable or not, diagonalizable or not.  The step and its
+doublings, the step ladder, are kept per (drift, noise, step): the last
+eight such ladders used, each as long as the longest evolution asked of
+it, are reused by later calls and extended when a call needs more
+doublings.  A ladder of k doublings holds k + 1 (F, Q) pairs of the
+drift's shape, 0.65 MB per pair at M = 100 (k = 22 and 15 MB for
+t = 1e6 on a chain).  The kept ladders hold at most 32 MiB together:
+the least recently used are dropped to make room, and a ladder larger
+than that alone (at M = 200, t = 1e6) is not kept, so such calls
+recompute theirs.  Every pair is computed by the same operations in
+the same order whichever call first needs it, so results do not depend
+on what was evolved before.  The dense
 eigendecomposition ``spectral_decomposition`` is kept as a diagnostic
 only; no solver calls it.
 """
@@ -39,7 +50,9 @@ only; no solver calls it.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +74,15 @@ RECONSTRUCTION_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 # Stack-wide steps that need a temporary run in this many parts.
 _PARTS = 8
+# evolve_covariance's step ladders, least recently used first, keyed by
+# (shape, drift bytes, noise bytes, step).  At most _LADDERS_KEPT of them,
+# holding at most _LADDER_BYTES of keys and (F, Q) arrays together: the
+# least recently used are dropped until the rest fit, and a ladder that
+# alone exceeds the budget is never kept.
+_LADDERS: OrderedDict = OrderedDict()
+_LADDERS_KEPT = 8
+_LADDER_BYTES = 32 * 2**20
+_LADDERS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -564,6 +586,74 @@ def solve_steady_states(
     return abscissa, states, [error or late for error, late in zip(errors, residual)]
 
 
+def _evolution_inputs(a, noise, v0) -> tuple:
+    """``a``, ``noise`` and ``v0`` as float arrays; ValueError unless all
+    three are finite square matrices of one shape."""
+    a, noise, v0 = (np.asarray(x, dtype=float) for x in (a, noise, v0))
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"a must be a non-empty square matrix, got shape {a.shape}")
+    for name, x in (("noise", noise), ("v0", v0)):
+        if x.shape != a.shape:
+            raise ValueError(f"{name} must have the shape {a.shape} of a, got {x.shape}")
+    for name, x in (("a", a), ("noise", noise), ("v0", v0)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} has non-finite entries")
+    return a, noise, v0
+
+
+def _step_pair(a: np.ndarray, noise: np.ndarray, h: float, doublings: int) -> tuple:
+    """(F, Q) at 2^doublings h, from the ladder (F(h), Q(h)), (F(2h), Q(2h)), ...
+
+    The ladder is taken from _LADDERS when one of the same drift, noise and
+    step is kept there, and extended by the missing doublings when it is too
+    short.  An extended ladder is a new tuple that replaces the kept one,
+    never one grown in place, so concurrent calls at worst repeat work.  A
+    ladder that would exceed _LADDER_BYTES alone is neither collected nor
+    kept: only its last pair is held, as in an uncached evolution.
+    """
+    key = (a.shape, a.tobytes(), noise.tobytes(), h)
+    with _LADDERS_LOCK:
+        rungs = _LADDERS.get(key, ())
+        if rungs:
+            _LADDERS.move_to_end(key)
+    if len(rungs) > doublings:
+        return rungs[doublings]
+    if not rungs:
+        dim = a.shape[0]
+        generator = np.block([[a, noise], [np.zeros_like(a), -a.T]])
+        block = scipy.linalg.expm(generator * h)
+        f = block[:dim, :dim].copy()
+        q = block[:dim, dim:] @ f.T
+        rungs = ((f, q),)
+    keep = len(key[1]) + len(key[2]) + 2 * a.nbytes * (doublings + 1) <= _LADDER_BYTES
+    f, q = rungs[-1]
+    grown = []
+    for _ in range(doublings + 1 - len(rungs)):
+        q = q + f @ q @ f.T
+        f = f @ f
+        if keep:
+            grown.append((f, q))
+    if not keep:
+        return f, q
+    rungs += tuple(grown)
+    for f, q in rungs:
+        f.flags.writeable = q.flags.writeable = False
+    with _LADDERS_LOCK:
+        if len(rungs) > len(_LADDERS.get(key, ())):
+            _LADDERS[key] = rungs
+            _LADDERS.move_to_end(key)
+        while len(_LADDERS) > _LADDERS_KEPT or sum(
+            _ladder_nbytes(*item) for item in _LADDERS.items()
+        ) > _LADDER_BYTES:
+            _LADDERS.popitem(last=False)
+    return rungs[doublings]
+
+
+def _ladder_nbytes(key: tuple, rungs: tuple) -> int:
+    """Bytes a kept ladder holds: its key's drift and noise and its arrays."""
+    return len(key[1]) + len(key[2]) + sum(f.nbytes + q.nbytes for f, q in rungs)
+
+
 def evolve_covariance(
     a: np.ndarray, noise: np.ndarray, v0: np.ndarray, t: float
 ) -> np.ndarray:
@@ -583,26 +673,35 @@ def evolve_covariance(
     unstable, defective and nilpotent drifts, and chains of hundreds of
     nodes, all take this one path.  The result is symmetrized.
 
-    Raises ValueError for a negative or non-finite ``t``.
+    The step ladder, (F, Q) at h, 2h, ..., 2^k h, is what a network's
+    calls share: times a power of two apart share their step (h = 0.25
+    for t = 0.5, 2, 8, ..., 4096 when ||A||_1 is in (2, 4]).  A call that
+    finds its drift, noise and step among the eight ladders last used
+    skips the block exponential and every doubling the ladder holds, and
+    adds only those it lacks.  Each ladder holds k + 1 pairs of the
+    drift's shape, 0.65 MB per pair at M = 100.  The kept ladders, with
+    their keys, hold at most 32 MiB: a ladder that alone needs more is
+    not kept, and its calls recompute it as if nothing were cached.
+    Every pair comes from the same operations in the same order whichever
+    call computes it, so the result is bitwise the same whatever was
+    evolved before, in this thread or another.
+
+    Raises ValueError for a negative or non-finite ``t``, for ``a``,
+    ``noise`` or ``v0`` that are not finite square matrices of one shape,
+    and for t ||A||_1 beyond the float range; all before any work is done
+    or kept.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    a = np.asarray(a, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    a, noise, v0 = _evolution_inputs(a, noise, v0)
     if t == 0:
         return v0.copy()
 
-    dim = a.shape[0]
     t_norm = t * float(np.linalg.norm(a, 1))
+    if t_norm == math.inf:
+        raise ValueError(f"t * ||A||_1 overflows at t = {t}")
     doublings = math.ceil(math.log2(t_norm)) if t_norm > 1.0 else 0
     h = math.ldexp(t, -doublings)
-    generator = np.block([[a, noise], [np.zeros_like(a), -a.T]])
-    block = scipy.linalg.expm(generator * h)
-    f = block[:dim, :dim]
-    q = block[:dim, dim:] @ f.T
-    for _ in range(doublings):
-        q = q + f @ q @ f.T
-        f = f @ f
+    f, q = _step_pair(a, noise, h, doublings)
     v = f @ v0 @ f.T + q
     return (v + v.T) / 2.0

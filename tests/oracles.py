@@ -6,10 +6,15 @@ rotated into quadratures afterwards, the diffusion matrix comes from the
 input-coupling product form, Lyapunov equations go through scipy's
 Bartels-Stewart solver or a plain unshifted Kronecker solve, entanglement
 through the raw eigenvalues of the partially transposed state, and time
-evolution through a fixed-step Runge-Kutta integrator.
+evolution through a fixed-step Runge-Kutta integrator.  The one exception
+is ``van_loan_evolve``: it repeats the library's own uncached Van Loan
+recurrence, operation for operation, as the reference that the cached
+evolution must match bitwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -192,6 +197,31 @@ def rk4_evolve(
         k4 = rhs(v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return v
+
+
+def van_loan_evolve(
+    a: np.ndarray, noise: np.ndarray, v0: np.ndarray, t: float
+) -> np.ndarray:
+    """V(t) by one Van Loan block exponential on h = t / 2^k and k
+    doublings, recomputed from scratch on every call."""
+    a = np.asarray(a, dtype=float)
+    noise = np.asarray(noise, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    if t == 0:
+        return v0.copy()
+    dim = a.shape[0]
+    t_norm = t * float(np.linalg.norm(a, 1))
+    doublings = math.ceil(math.log2(t_norm)) if t_norm > 1.0 else 0
+    h = math.ldexp(t, -doublings)
+    generator = np.block([[a, noise], [np.zeros_like(a), -a.T]])
+    block = scipy.linalg.expm(generator * h)
+    f = block[:dim, :dim]
+    q = block[:dim, dim:] @ f.T
+    for _ in range(doublings):
+        q = q + f @ q @ f.T
+        f = f @ f
+    v = f @ v0 @ f.T + q
+    return (v + v.T) / 2.0
 
 
 def random_stable_system(rng, dim: int, margin: float = 0.5):

@@ -1,5 +1,8 @@
 """Stability analysis, the two steady-state solvers, and time evolution."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -21,6 +24,7 @@ from entflow import (
     stability_report,
     validate_config,
 )
+from entflow import lyapunov
 from entflow.lyapunov import _block_order
 from entflow.network import source_coupling
 
@@ -261,6 +265,148 @@ def test_evolve_rejects_negative_time():
     for t in (-0.5, np.inf, np.nan):
         with pytest.raises(ValueError):
             evolve_covariance(-np.eye(2), np.eye(2), np.eye(2), t)
+
+
+def test_evolve_rejects_overflowing_time_times_norm():
+    lyapunov._LADDERS.clear()
+    with pytest.raises(ValueError):
+        evolve_covariance(-10.0 * np.eye(2), np.eye(2), np.eye(2), 1e308)
+    assert not lyapunov._LADDERS
+
+
+@pytest.mark.parametrize(
+    "a, noise, v0",
+    [
+        (np.array([[-1.0, np.inf], [0.0, -1.0]]), np.eye(2), np.eye(2)),
+        (np.array([[-1.0, np.nan], [0.0, -1.0]]), np.eye(2), np.eye(2)),
+        (-np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]]), np.eye(2)),
+        (-np.eye(2), np.array([[1.0, 0.0], [0.0, -np.inf]]), np.eye(2)),
+        (-np.eye(2), np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]])),
+        (-np.eye(2), np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]])),
+        (-np.eye(3), np.eye(2), np.eye(3)),
+        (-np.eye(2), np.eye(2), np.eye(3)),
+        (-np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))),
+        (-np.ones(2), np.ones(2), np.ones(2)),
+        (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    ],
+)
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_evolve_rejects_malformed_matrices(a, noise, v0, t):
+    lyapunov._LADDERS.clear()
+    with pytest.raises(ValueError):
+        evolve_covariance(a, noise, v0, t)
+    assert not lyapunov._LADDERS
+
+
+LADDER_TIMES = (0.05, 0.3, 0.5, 2.0, 8.0, 32.0, 128.0, 1024.0, 4096.0)
+
+
+def ladder_networks():
+    rng = np.random.default_rng(23)
+    a, n = chain_matrices(M=10, r=0.1, j=0.5)
+    b, m = chain_matrices(M=10, r=0.1, j=0.5, direction=Direction.BACKWARD)
+    v0 = np.eye(a.shape[0]) + 0.05 * rng.normal(size=a.shape)
+    return (a, n), (b, m), v0 @ v0.T
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        [(0, t) for t in LADDER_TIMES],
+        [(0, t) for t in reversed(LADDER_TIMES)],
+        [(net, t) for t in LADDER_TIMES for net in (0, 1)],
+        [(net, t) for t in reversed(LADDER_TIMES) for net in (1, 0)],
+    ],
+    ids=["forward", "reversed", "interleaved", "interleaved-reversed"],
+)
+def test_evolve_cached_ladder_is_bitwise_the_uncached_loop(schedule):
+    *networks, v0 = ladder_networks()
+    lyapunov._LADDERS.clear()
+    for net, t in schedule:
+        a, n = networks[net]
+        got = evolve_covariance(a, n, v0, t)
+        assert got.tobytes() == oracles.van_loan_evolve(a, n, v0, t).tobytes()
+
+
+def test_evolve_follows_matrices_mutated_in_place():
+    (a, n), _, v0 = ladder_networks()
+    lyapunov._LADDERS.clear()
+    seen = [evolve_covariance(a, n, v0, 8.0)]
+    for matrix, index, change in ((a, (0, 0), -0.25), (n, (2, 2), 0.5)):
+        matrix[index] += change
+        got = evolve_covariance(a, n, v0, 8.0)
+        assert got.tobytes() == oracles.van_loan_evolve(a, n, v0, 8.0).tobytes()
+        assert not np.array_equal(got, seen[-1])
+        seen.append(got)
+
+
+def test_evolve_concurrent_threads_are_bitwise_single_threaded():
+    *networks, v0 = ladder_networks()
+    work = [(net, t) for net in (0, 1) for t in LADDER_TIMES]
+    expected = [oracles.van_loan_evolve(*networks[net], v0, t) for net, t in work]
+    results = {}
+
+    def evolve(worker):
+        # the threads walk the work from different starts and in both
+        # directions, so ladders are created, extended and read at once
+        order = work[3 * worker:] + work[:3 * worker]
+        if worker % 2:
+            order.reverse()
+        results[worker] = {
+            (net, t): evolve_covariance(*networks[net], v0, t) for net, t in order
+        }
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            lyapunov._LADDERS.clear()
+            results.clear()
+            threads = [threading.Thread(target=evolve, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(results) == [0, 1, 2, 3]
+            for got in results.values():
+                for key, want in zip(work, expected):
+                    assert got[key].tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def cached_bytes():
+    return sum(lyapunov._ladder_nbytes(*item) for item in lyapunov._LADDERS.items())
+
+
+def test_evolve_cache_stays_within_its_byte_budget():
+    # M = 100 chains: a t = 1e6 ladder holds 23 pairs, about 15 MB, so the
+    # third network's evicts the least recently used one well before the
+    # count bound; a t = 1e30 ladder (103 pairs, 67 MB) is never kept
+    networks = [
+        chain_matrices(M=100, r=r, j=0.5, direction=direction)
+        for r, direction in ((0.1, Direction.FORWARD), (0.1, Direction.BACKWARD), (0.3, Direction.FORWARD))
+    ]
+    v0 = np.eye(networks[0][0].shape[0])
+    lyapunov._LADDERS.clear()
+    for net, t in ((0, 1e6), (1, 1e6), (0, 1e3), (2, 1e6), (0, 1e30)):
+        a, n = networks[net]
+        got = evolve_covariance(a, n, v0, t)
+        assert got.tobytes() == oracles.van_loan_evolve(a, n, v0, t).tobytes()
+        assert 0 < cached_bytes() <= lyapunov._LADDER_BYTES
+    assert len(lyapunov._LADDERS) == 2
+    assert max(map(len, lyapunov._LADDERS.values())) == 23
+
+
+def test_evolve_keeps_at_most_eight_ladders():
+    rng = np.random.default_rng(29)
+    lyapunov._LADDERS.clear()
+    for _ in range(12):
+        a, n = oracles.random_stable_system(rng, 4)
+        evolve_covariance(a, n, np.eye(4), 3.0)
+        assert len(lyapunov._LADDERS) <= 8
+    assert len(lyapunov._LADDERS) == 8
 
 
 def test_evolve_at_zero_returns_initial_copy():
