@@ -8,7 +8,6 @@ from .errors import (
     EigenFailureError,
     EntflowError,
     LengthMismatchError,
-    MissingDirectionError,
     NegativeRateError,
     NonpositiveOccupationError,
     ResidualTooLargeError,
@@ -67,13 +66,11 @@ from .measures import (
 from .sweep import (
     ENTANGLEMENT_THRESHOLD,
     FIGURE_NAMES,
-    FigureTable,
     PointResult,
     SweepColumns,
     SweepGrid,
     export_csv,
     figure_dataset,
-    figure_fields,
     max_entangled_node,
     run_point,
     sweep_columns,

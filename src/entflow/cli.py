@@ -9,7 +9,6 @@ failure while exporting.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -40,14 +39,7 @@ from .network import (
     config_violations,
     validate_config,
 )
-from .sweep import (
-    FIGURE_NAMES,
-    csv_header,
-    figure_fields,
-    figure_lines,
-    run_point,
-    sweep_columns,
-)
+from .sweep import FIGURE_NAMES, export_csv, run_point
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -155,23 +147,6 @@ def _parse_range(text: str):
     return spans[0], spans[1]
 
 
-def _figure_directions(name: str, requested: str | None):
-    if name == "nonreciprocity":
-        if requested:
-            raise ConfigError(
-                "figure 'nonreciprocity' always sweeps both directions; "
-                "drop --direction"
-            )
-        return [Direction.FORWARD, Direction.BACKWARD]
-    if name in ("depth", "occupation"):
-        if requested == Direction.BACKWARD.value:
-            raise ConfigError(
-                f"figure '{name}' is defined for the forward direction"
-            )
-        return [Direction.FORWARD]
-    return [Direction(requested) if requested else Direction.FORWARD]
-
-
 def _config_as_json(cfg) -> dict:
     def listify(value):
         if value is None or np.isscalar(value):
@@ -209,48 +184,11 @@ def _environment() -> dict:
     }
 
 
-def _write_figure(name: str, cfg, r_values, j_values, directions, handle) -> tuple:
-    """Sweep every direction of figure ``name`` slice by slice, computing
-    only the fields the figure writes, and stream its CSV into the binary
-    ``handle``.
-
-    Returns (SHA-256 of the bytes written, rows written, per direction the
-    sweep's statistics: solver passes and the counts of stable (solved),
-    unstable and failed points, which add up to the grid).
-    """
-    digest = hashlib.sha256()
-
-    def write(text: str) -> None:
-        data = text.encode("utf-8")
-        digest.update(data)
-        handle.write(data)
-
-    write(csv_header(name))
-    rows = 0
-    sweeps = {}
-    for direction in directions:
-        counts = {"passes": 0, "stable": 0, "unstable": 0, "failed": 0}
-        wanted = figure_fields(name, direction)
-        for columns in sweep_columns(cfg, r_values, j_values, direction, wanted):
-            write(figure_lines(name, columns))
-            size = columns.r.size
-            failed = sum(error is not None for error in columns.errors)
-            unstable = size - int(columns.stable.sum())
-            counts["passes"] += 1
-            counts["stable"] += size - unstable - failed
-            counts["unstable"] += unstable
-            counts["failed"] += failed
-            rows += size
-        sweeps[direction.value] = counts
-    return digest.hexdigest(), rows, sweeps
-
-
 def cmd_figure(args) -> int:
     try:
         cfg = _load_base_config(args)
         n_r, n_j = _parse_grid(args.grid)
         (r_lo, r_hi), (j_lo, j_hi) = _parse_range(args.value_range)
-        directions = _figure_directions(args.name, args.direction)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -259,25 +197,17 @@ def cmd_figure(args) -> int:
 
     r_values = np.linspace(r_lo, r_hi, n_r)
     j_values = np.linspace(j_lo, j_hi, n_j)
+    direction = Direction(args.direction) if args.direction else None
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
     manifest_path = out.with_name(out.name + ".manifest.json")
     try:
-        with open(out, "wb") as handle:
-            try:
-                digest, rows, sweeps = _write_figure(
-                    args.name, cfg, r_values, j_values, directions, handle
-                )
-            except BaseException:
-                # leave no partial table behind
-                handle.close()
-                out.unlink(missing_ok=True)
-                raise
+        digest, rows, sweeps = export_csv(args.name, cfg, r_values, j_values, out, direction)
         manifest = {
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "figure": args.name,
             "config": _config_as_json(cfg),
-            "directions": [d.value for d in directions],
+            "directions": list(sweeps),
             "grid": {
                 "r_values": [float(v) for v in r_values],
                 "j_values": [float(v) for v in j_values],
@@ -289,6 +219,9 @@ def cmd_figure(args) -> int:
         with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -58,7 +58,3 @@ class ComplexEigenvalueError(EntflowError, ValueError):
 
 class NonpositiveOccupationError(EntflowError, ValueError):
     """Effective temperature is undefined for occupation <= 0."""
-
-
-class MissingDirectionError(EntflowError, ValueError):
-    """A figure dataset needs a sweep for a direction that was not supplied."""

@@ -20,32 +20,37 @@ where the certificate fails.
 
 The engine hands back each slice as columns (``SweepColumns``): r, j,
 stable, physical, the spectral abscissa, each point's failure, and only the
-optional fields that were asked for (``sweep_columns``).  Each figure asks
-for the fields it writes (``figure_fields``): ``nonreciprocity`` the pair
-(0, 2) forward and (0, M-1) backward, ``depth`` and ``occupation`` the
-depth scan over every node, ``stability`` no pair at all, though its points
-are still solved.  A figure cell is empty when its point is unstable, or
-when the point's solve (with the per-state physicality test where it runs)
-or the quantity the figure writes failed; a pair the figure does not write
-is never evaluated, so its failure blanks nothing.  ``entflow figure``
-writes each slice's rows as soon as it is computed, so its memory does not
-grow with the grid.  ``sweep_grid`` asks for every field and keeps one
-PointResult per point, whose ``solver_error`` is the first failure of any
-of them; ``run_point`` is its one-row view, under the same plan, and a
-point's result never depends on the batch it was computed in.
-``figure_dataset`` and ``export_csv`` build the same tables from
-PointResults, with the same column specs and the same column-wise writer.
+optional fields that were asked for (``sweep_columns``).  One table
+(``_FIGURES``) holds each figure's directions and columns, and
+``figure_dataset`` sweeps a figure asking only for the fields it writes:
+``nonreciprocity`` the pair (0, 2) forward and (0, M-1) backward,
+``depth`` and ``occupation`` the depth scan over every node,
+``stability`` no pair at all, though its points are still solved.
+``export_csv``, the one figure writer, streams each slice's rows to the
+CSV as soon as it is computed, so its memory does not grow with the grid.
+A figure cell is empty when its point is unstable, or when the point's
+solve (with the per-state physicality test where it runs) or the quantity
+the figure writes failed; a pair the figure does not write is never
+evaluated, so its failure blanks nothing.  ``sweep_grid`` asks for every
+field and keeps one PointResult per point, whose ``solver_error`` is the
+first failure of any of them; ``run_point`` is its one-row view, under
+the same plan, and a point's result never depends on the batch it was
+computed in.
 
 Everything here is deterministic: no randomness, no timestamps.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EntflowError, MissingDirectionError
+from .errors import ConfigError, EntflowError
 from .lyapunov import STABILITY_MARGIN, BlockPlan, block_plan, solve_steady_states
 from .measures import (
     certify_physicality,
@@ -78,20 +83,58 @@ ENTANGLEMENT_THRESHOLD = 1e-10
 _BATCH_BYTES = 2 << 20
 _STACKS_PER_POINT = 3
 
-FIGURE_NAMES = ("nonreciprocity", "depth", "occupation", "stability")
 
-_COLUMNS = {
-    "nonreciprocity": ("r_over_omega", "j_over_omega", "direction", "log_negativity"),
-    "depth": ("r_over_omega", "j_over_omega", "m_max"),
-    "occupation": ("r_over_omega", "j_over_omega", "nbar"),
-    "stability": ("r_over_omega", "j_over_omega", "stable", "physical", "spectral_abscissa"),
+class _Figure(NamedTuple):
+    """How one figure is swept and written: the directions it may sweep, its
+    default first; whether it sweeps each of them in turn (then it takes no
+    direction); and per CSV column (header, PointResult field, cell kind),
+    where a field given per direction is read for that direction's points."""
+
+    directions: tuple
+    every_direction: bool
+    columns: tuple
+
+
+_GRID_COLUMNS = (
+    ("r_over_omega", "r_over_omega", "float"),
+    ("j_over_omega", "j_over_omega", "float"),
+)
+_FIGURES = {
+    "nonreciprocity": _Figure(
+        (Direction.FORWARD, Direction.BACKWARD),
+        True,
+        _GRID_COLUMNS
+        + (
+            ("direction", "direction", "direction"),
+            (
+                "log_negativity",
+                {Direction.FORWARD: "en_forward_pair", Direction.BACKWARD: "en_backward_pair"},
+                "float",
+            ),
+        ),
+    ),
+    "depth": _Figure((Direction.FORWARD,), False, _GRID_COLUMNS + (("m_max", "m_max", "int"),)),
+    "occupation": _Figure(
+        (Direction.FORWARD,), False, _GRID_COLUMNS + (("nbar", "nbar_at_mmax", "float"),)
+    ),
+    "stability": _Figure(
+        (Direction.FORWARD, Direction.BACKWARD),
+        False,
+        _GRID_COLUMNS
+        + (
+            ("stable", "stable", "bool"),
+            ("physical", "physical", "bool"),
+            ("spectral_abscissa", "spectral_abscissa", "float"),
+        ),
+    ),
 }
-# how each column's cells are written
-_KINDS = {
-    "nonreciprocity": ("float", "float", "text", "float"),
-    "depth": ("float", "float", "int"),
-    "occupation": ("float", "float", "float"),
-    "stability": ("float", "float", "bool", "bool", "float"),
+FIGURE_NAMES = tuple(_FIGURES)
+# how a cell of each kind is written; None is always an empty cell
+_CELLS = {
+    "float": lambda x: format(x, ".17g"),
+    "int": str,
+    "bool": lambda x: "true" if x else "false",
+    "direction": lambda x: x.value,
 }
 
 
@@ -136,15 +179,6 @@ class SweepGrid:
     direction: Direction
     results: tuple
     passes: int | None = None  # solver passes (slices) of the sweep
-
-
-@dataclass(frozen=True)
-class FigureTable:
-    """Rows ready for CSV export; None cells export as empty fields."""
-
-    name: str
-    columns: tuple
-    rows: tuple
 
 
 def max_entangled_node(v: np.ndarray, threshold: float = ENTANGLEMENT_THRESHOLD) -> int:
@@ -447,117 +481,126 @@ def sweep_grid(
     )
 
 
-def _by_direction(grids) -> dict:
-    if isinstance(grids, SweepGrid):
-        grids = [grids]
-    table: dict = {}
-    for grid in grids:
-        if grid.direction in table:
-            raise ValueError(f"duplicate sweep for direction {grid.direction.value}")
-        table[grid.direction] = grid
-    return table
+def _fields(figure: _Figure, direction: Direction) -> tuple:
+    """The PointResult field of each column of ``figure``, for the points of
+    a ``direction`` sweep."""
+    return tuple(
+        field if isinstance(field, str) else field[direction] for _, field, _ in figure.columns
+    )
 
 
-def _require(table: dict, direction: Direction, figure: str) -> SweepGrid:
-    if direction not in table:
-        raise MissingDirectionError(
-            f"figure '{figure}' needs a {direction.value} sweep"
-        )
-    return table[direction]
+def figure_dataset(
+    name: str,
+    base: NetworkConfig,
+    r_values,
+    j_values,
+    direction: Direction | None = None,
+):
+    """The sweep of figure ``name`` over the grid r_values x j_values, as the
+    SweepColumns slices of each direction it sweeps, one direction after the
+    other, with only the fields its columns hold computed.
 
+    nonreciprocity  forward, then backward, and takes no ``direction``: the
+                    source-to-probe pair of each (node 2 forward, node M-1
+                    backward);
+    depth           forward only: m_max;
+    occupation      forward only: nbar of the deepest entangled node;
+    stability       either direction: the stable and physical flags and
+                    the spectral abscissa.
 
-def figure_fields(name: str, direction: Direction) -> tuple:
-    """The PointResult fields the columns of figure ``name`` hold, in column
-    order, for the points of a ``direction`` sweep; ``direction`` is written
-    as its value."""
-    if name not in FIGURE_NAMES:
-        raise ValueError(f"unknown figure '{name}', expected one of {FIGURE_NAMES}")
-    if name == "nonreciprocity":
-        pair = "en_forward_pair" if direction is Direction.FORWARD else "en_backward_pair"
-        return ("r_over_omega", "j_over_omega", "direction", pair)
-    if name == "stability":
-        return ("r_over_omega", "j_over_omega", "stable", "physical", "spectral_abscissa")
-    return ("r_over_omega", "j_over_omega", "m_max" if name == "depth" else "nbar_at_mmax")
-
-
-def _figure_columns(name: str, direction: Direction, column) -> list:
-    """The CSV columns of figure ``name`` for points of a ``direction``
-    sweep, from ``column(field)``: the PointResult field of every point."""
-    return [
-        [cell.value for cell in column(field)] if field == "direction" else column(field)
-        for field in figure_fields(name, direction)
-    ]
-
-
-def figure_dataset(name: str, grids) -> FigureTable:
-    """Flatten sweeps into one of the named figure tables.
-
-    nonreciprocity  needs both directions: (r, j, direction, log_negativity),
-                    reporting the source-to-probe pair for each direction
-                    (node 2 forward, node M-1 backward);
-    depth           forward only: (r, j, m_max);
-    occupation      forward only: (r, j, nbar of the deepest entangled node);
-    stability       one direction (forward preferred): adds the physicality
-                    flag and the spectral abscissa.
-
-    A cell is empty where the point is unstable or its ``solver_error`` is
-    set; ``sweep_grid`` computes every field, so any failure of a point
-    blanks its cells here.
+    ``direction`` None is the figure's default, forward, whatever the
+    direction of ``base``.  The figure, the direction and the grid are
+    checked at once (ConfigError; ValueError for an empty or negative
+    grid); the slices are computed as they are iterated.
     """
-    if name not in FIGURE_NAMES:
-        raise ValueError(f"unknown figure '{name}', expected one of {FIGURE_NAMES}")
-    table = _by_direction(grids)
-    if name == "nonreciprocity":
-        chosen = [_require(table, d, name) for d in (Direction.FORWARD, Direction.BACKWARD)]
-    elif name in ("depth", "occupation"):
-        chosen = [_require(table, Direction.FORWARD, name)]
+    if name not in _FIGURES:
+        raise ConfigError(f"unknown figure '{name}', expected one of {FIGURE_NAMES}")
+    figure = _FIGURES[name]
+    if figure.every_direction:
+        if direction is not None:
+            raise ConfigError(
+                f"figure '{name}' always sweeps both directions; it takes no direction"
+            )
+        directions = figure.directions
+    elif direction is None:
+        directions = figure.directions[:1]
+    elif direction in figure.directions:
+        directions = (direction,)
     else:
-        chosen = [table.get(Direction.FORWARD) or next(iter(table.values()))]
-
-    rows: list = []
-    for grid in chosen:
-        points = [point for row in grid.results for point in row]
-        columns = _figure_columns(
-            name, grid.direction, lambda field: [getattr(p, field) for p in points]
+        raise ConfigError(
+            f"figure '{name}' is defined for the {figure.directions[0].value} direction"
         )
-        rows.extend(zip(*columns))
-    return FigureTable(name=name, columns=_COLUMNS[name], rows=tuple(rows))
+    sweeps = [sweep_columns(base, r_values, j_values, d, _fields(figure, d)) for d in directions]
+    return itertools.chain.from_iterable(sweeps)
 
 
-def _format_column(kind: str, values) -> list:
-    """CSV cells of one column of values of one ``kind``; None is empty."""
-    if kind == "float":
-        return ["" if x is None else format(x, ".17g") for x in values]
-    if kind == "int":
-        return ["" if x is None else str(int(x)) for x in values]
-    if kind == "bool":
-        return ["" if x is None else "true" if x else "false" for x in values]
-    return ["" if x is None else str(x) for x in values]
-
-
-def csv_header(name: str) -> str:
-    """The header line of figure ``name``'s CSV."""
-    return ",".join(_COLUMNS[name]) + "\n"
-
-
-def _csv_lines(name: str, columns) -> str:
-    """CSV lines of figure ``name`` from its columns (lists of cell values,
-    None for an empty cell), one column at a time."""
-    cells = [_format_column(kind, values) for kind, values in zip(_KINDS[name], columns)]
+def _csv_lines(figure: _Figure, columns: SweepColumns) -> str:
+    """CSV lines of ``figure`` for one slice of its sweep, one column at a
+    time; None is an empty cell."""
+    cells = []
+    for (_, _, kind), field in zip(figure.columns, _fields(figure, columns.direction)):
+        cell = _CELLS[kind]
+        cells.append(["" if x is None else cell(x) for x in columns.column(field)])
     return "".join([",".join(row) + "\n" for row in zip(*cells)])
 
 
-def figure_lines(name: str, columns: SweepColumns) -> str:
-    """CSV lines of figure ``name`` for one slice of its sweep."""
-    return _csv_lines(name, _figure_columns(name, columns.direction, columns.column))
+def export_csv(
+    name: str,
+    base: NetworkConfig,
+    r_values,
+    j_values,
+    path,
+    direction: Direction | None = None,
+) -> tuple:
+    """Write figure ``name`` over the grid r_values x j_values to ``path`` as
+    CSV, streaming each slice of ``figure_dataset`` as it is computed, so
+    memory does not grow with the grid.
 
+    The file is UTF-8 with LF line endings and a header row.  Floats have
+    17 significant digits, so they round-trip bit-exactly, and booleans are
+    true/false.  A cell is empty where its point is unstable, or where the
+    point's solve (with the per-state physicality test where it runs) or the
+    quantity the figure writes failed; a pair the figure does not write is
+    never evaluated, so its failure blanks nothing.
 
-def export_csv(table: FigureTable, path) -> None:
-    """Write the table as UTF-8 CSV with LF line endings and a header row.
-
-    Floats are written with 17 significant digits so values round-trip
-    bit-exactly; undefined cells are empty.
+    The figure, the direction and the grid are checked before ``path`` is
+    opened, and any failure after that removes the partial file.  Returns
+    (SHA-256 hex digest of the bytes written, rows written, per direction
+    value in sweep order the sweep's statistics: solver passes and the
+    counts of stable (solved), unstable and failed points, which add up to
+    the grid).
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(table.columns) + "\n")
-        handle.write(_csv_lines(table.name, list(zip(*table.rows))))
+    slices = figure_dataset(name, base, r_values, j_values, direction)
+    figure = _FIGURES[name]
+    digest = hashlib.sha256()
+    rows = 0
+    sweeps: dict = {}
+    with open(path, "wb") as handle:
+
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+
+        try:
+            write(",".join(header for header, _, _ in figure.columns) + "\n")
+            for columns in slices:
+                write(_csv_lines(figure, columns))
+                size = columns.r.size
+                failed = sum(error is not None for error in columns.errors)
+                unstable = size - int(columns.stable.sum())
+                counts = sweeps.setdefault(
+                    columns.direction.value,
+                    {"passes": 0, "stable": 0, "unstable": 0, "failed": 0},
+                )
+                counts["passes"] += 1
+                counts["stable"] += size - unstable - failed
+                counts["unstable"] += unstable
+                counts["failed"] += failed
+                rows += size
+        except BaseException:
+            # leave no partial table behind
+            handle.close()
+            Path(path).unlink(missing_ok=True)
+            raise
+    return digest.hexdigest(), rows, sweeps

@@ -5,8 +5,10 @@ validates: the drift matrix is assembled for the mode operators (a, a+) and
 rotated into quadratures afterwards, the diffusion matrix comes from the
 input-coupling product form, Lyapunov equations go through scipy's
 Bartels-Stewart solver or a plain unshifted Kronecker solve, entanglement
-through the raw eigenvalues of the partially transposed state, and time
-evolution through a fixed-step Runge-Kutta integrator.  The one exception
+through the raw eigenvalues of the partially transposed state, time
+evolution through a fixed-step Runge-Kutta integrator, and figure CSVs row
+by row from PointResults, with their own column lists and cell formatting.
+The one exception
 is ``van_loan_evolve``: it repeats the library's own uncached Van Loan
 recurrence, operation for operation, as the reference that the cached
 evolution must match bitwise.
@@ -301,3 +303,59 @@ def certificate_dense(a: np.ndarray, noise: np.ndarray, rtol: float = 1e-12) -> 
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# each figure's CSV header, and the directions it sweeps when none is asked
+# for, in order
+FIGURE_HEADERS = {
+    "nonreciprocity": "r_over_omega,j_over_omega,direction,log_negativity",
+    "depth": "r_over_omega,j_over_omega,m_max",
+    "occupation": "r_over_omega,j_over_omega,nbar",
+    "stability": "r_over_omega,j_over_omega,stable,physical,spectral_abscissa",
+}
+FIGURE_DIRECTIONS = {
+    "nonreciprocity": (Direction.FORWARD, Direction.BACKWARD),
+    "depth": (Direction.FORWARD,),
+    "occupation": (Direction.FORWARD,),
+    "stability": (Direction.FORWARD,),
+}
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def figure_csv(name: str, points) -> bytes:
+    """The CSV bytes of figure ``name`` over the PointResults ``points``, one
+    row per point in the order given: floats with 17 significant digits,
+    booleans as true/false, None as an empty cell, LF line endings."""
+    lines = [FIGURE_HEADERS[name]]
+    for p in points:
+        if name == "nonreciprocity":
+            pair = p.en_forward_pair if p.direction is Direction.FORWARD else p.en_backward_pair
+            cells = [p.direction.value, pair]
+        elif name == "depth":
+            cells = [p.m_max]
+        elif name == "occupation":
+            cells = [p.nbar_at_mmax]
+        else:
+            cells = [p.stable, p.physical, p.spectral_abscissa]
+        row = [p.r_over_omega, p.j_over_omega, *cells]
+        lines.append(",".join(_csv_cell(value) for value in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def figure_csv_of_grids(name: str, grids) -> bytes:
+    """``figure_csv`` of the SweepGrids ``grids`` (at most one per direction)
+    over the directions figure ``name`` sweeps by default, in order."""
+    by_direction = {grid.direction: grid for grid in grids}
+    return figure_csv(
+        name,
+        [p for d in FIGURE_DIRECTIONS[name] for row in by_direction[d].results for p in row],
+    )

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import oracles
 from entflow import (
     DEFAULT_CONFIG,
     Direction,
-    export_csv,
-    figure_dataset,
     load_config_file,
     pair_log_negativities,
     run_point,
@@ -26,12 +25,6 @@ from entflow.cli import EXIT_OK, main
 GRID = ("--grid", "6x6", "--range", "0:1.5,0:1")
 R_VALUES = np.linspace(0.0, 1.5, 6)
 J_VALUES = np.linspace(0.0, 1.0, 6)
-HEADERS = {
-    "nonreciprocity": "r_over_omega,j_over_omega,direction,log_negativity",
-    "depth": "r_over_omega,j_over_omega,m_max",
-    "occupation": "r_over_omega,j_over_omega,nbar",
-    "stability": "r_over_omega,j_over_omega,stable,physical,spectral_abscissa",
-}
 # (figure, --direction flag) of every table entflow figure writes
 TABLES = [
     ("nonreciprocity", None),
@@ -66,38 +59,15 @@ def run_figure(tmp_path, name, *extra):
     return out.read_bytes(), manifest
 
 
-def cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return value
-
-
 def reference_table(name, base, directions):
-    """The figure's CSV from run_point on each grid point, written row by row."""
-    lines = [HEADERS[name]]
-    for direction in directions:
-        for r in R_VALUES:
-            for j in J_VALUES:
-                net = validate_config(replace(base, r=float(r), j=float(j), direction=direction))
-                p = run_point(net)
-                cells = [p.r_over_omega, p.j_over_omega]
-                if name == "nonreciprocity":
-                    pair = p.en_forward_pair if direction is Direction.FORWARD else p.en_backward_pair
-                    cells += [direction.value, pair]
-                elif name == "depth":
-                    cells.append(p.m_max)
-                elif name == "occupation":
-                    cells.append(p.nbar_at_mmax)
-                else:
-                    cells += [p.stable, p.physical, p.spectral_abscissa]
-                lines.append(",".join(cell(c) for c in cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """The figure's CSV by the oracle, from run_point on each grid point."""
+    points = [
+        run_point(validate_config(replace(base, r=float(r), j=float(j), direction=direction)))
+        for direction in directions
+        for r in R_VALUES
+        for j in J_VALUES
+    ]
+    return oracles.figure_csv(name, points)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -107,25 +77,14 @@ def test_streamed_tables_equal_run_point_row_by_row(tmp_path, capsys, warm):
     for name, flag in TABLES:
         extra = ["--config", str(path)] + (["--direction", flag] if flag else [])
         table, manifest = run_figure(tmp_path, name, *extra)
-        directions = [Direction(d) for d in manifest["directions"]]
+        directions = [Direction(flag)] if flag else oracles.FIGURE_DIRECTIONS[name]
+        assert manifest["directions"] == [d.value for d in directions]
         assert table == reference_table(name, base, directions), (name, flag)
         rows = table.decode("utf-8").splitlines()[1:]
         assert len(rows) == 36 * len(directions)
         for counts in manifest["sweeps"].values():
             assert counts["failed"] == 0 and counts["stable"] + counts["unstable"] == 36
             assert counts["stable"] >= 10 and counts["unstable"] >= 5
-    capsys.readouterr()
-
-
-def test_library_tables_equal_the_streamed_ones(tmp_path, capsys):
-    # figure_dataset over sweep_grid results and export_csv write the same
-    # bytes as the streamed command
-    grids = [sweep_grid(DEFAULT_CONFIG, R_VALUES, J_VALUES, d) for d in Direction]
-    for name in HEADERS:
-        table, _ = run_figure(tmp_path, name)
-        path = tmp_path / f"library-{name}.csv"
-        export_csv(figure_dataset(name, grids), path)
-        assert path.read_bytes() == table, name
     capsys.readouterr()
 
 

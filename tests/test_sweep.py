@@ -1,5 +1,6 @@
 """Grid sweeps, per-point summaries, figure tables, and CSV export."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from entflow import (
     ComplexEigenvalueError,
     ConfigError,
     Direction,
-    MissingDirectionError,
     ResidualTooLargeError,
     SweepGrid,
     bath_occupations,
@@ -389,15 +389,6 @@ def test_sweep_matches_independent_oracles(m, direction, warm):
     assert n_stable >= 10
 
 
-def csv_tables(grids, directory):
-    tables = {}
-    for name in FIGURE_NAMES:
-        path = directory / f"{name}.csv"
-        export_csv(figure_dataset(name, grids), path)
-        tables[name] = path.read_bytes()
-    return tables
-
-
 def test_results_do_not_depend_on_batch_size_or_position(tmp_path, monkeypatch):
     base = replace(DEFAULT_CONFIG, nbar_local=0.01, nbar_common=0.02)
     r_values = [0.0, 0.1, 0.3, 0.45, 1.5]
@@ -413,16 +404,21 @@ def test_results_do_not_depend_on_batch_size_or_position(tmp_path, monkeypatch):
             results=tuple(grid.results[0] for grid in rows),
         )
 
+    def tables(grids):
+        return {name: oracles.figure_csv_of_grids(name, grids) for name in FIGURE_NAMES}
+
     whole = [sweep_grid(base, r_values, j_values, d) for d in Direction]
-    (tmp_path / "whole").mkdir()
-    (tmp_path / "rows").mkdir()
-    (tmp_path / "points").mkdir()
-    reference = csv_tables(whole, tmp_path / "whole")
-    assert csv_tables([by_rows(d) for d in Direction], tmp_path / "rows") == reference
+    reference = tables(whole)
+    assert tables([by_rows(d) for d in Direction]) == reference
     # a working set too small for two points: every slice holds one point
     monkeypatch.setattr("entflow.sweep._BATCH_BYTES", 1)
     single = [sweep_grid(base, r_values, j_values, d) for d in Direction]
-    assert csv_tables(single, tmp_path / "points") == reference
+    assert tables(single) == reference
+    # and the streamed figures, one point per slice, write the same bytes
+    for name in FIGURE_NAMES:
+        path = tmp_path / f"{name}.csv"
+        export_csv(name, base, r_values, j_values, path)
+        assert path.read_bytes() == reference[name], name
     for grid in single:
         for p in (p for row in grid.results for p in row):
             net = validate_config(
@@ -453,121 +449,147 @@ def test_nonreciprocity_on_small_grid():
 # figure tables
 
 
-@pytest.fixture(scope="module")
-def small_grids():
-    r_values = [0.0, 0.1]
-    j_values = [0.2, 0.5, 0.9]
-    forward = sweep_grid(DEFAULT_CONFIG, r_values, j_values, Direction.FORWARD)
-    backward = sweep_grid(DEFAULT_CONFIG, r_values, j_values, Direction.BACKWARD)
-    return forward, backward
+R_SMALL = [0.0, 0.1]
+J_SMALL = [0.2, 0.5, 0.9]
 
 
-def test_nonreciprocity_table(small_grids):
-    forward, backward = small_grids
-    table = figure_dataset("nonreciprocity", [forward, backward])
-    assert table.columns == (
-        "r_over_omega",
-        "j_over_omega",
-        "direction",
-        "log_negativity",
-    )
-    assert len(table.rows) == 2 * 6
-    directions = {row[2] for row in table.rows}
-    assert directions == {"forward", "backward"}
+def table_lines(name, tmp_path, direction=None, base=DEFAULT_CONFIG, r=R_SMALL, j=J_SMALL):
+    """export_csv of figure ``name`` as (CSV lines, the rest of what it returns)."""
+    path = tmp_path / f"{name}.csv"
+    digest, rows, sweeps = export_csv(name, base, r, j, path, direction)
+    return path.read_text(encoding="utf-8").splitlines(), (digest, rows, sweeps)
 
 
-def test_nonreciprocity_requires_both_directions(small_grids):
-    forward, _ = small_grids
-    with pytest.raises(MissingDirectionError):
-        figure_dataset("nonreciprocity", forward)
+def test_nonreciprocity_table(tmp_path):
+    lines, (_, rows, sweeps) = table_lines("nonreciprocity", tmp_path)
+    assert lines[0] == "r_over_omega,j_over_omega,direction,log_negativity"
+    assert rows == len(lines) - 1 == 2 * 6
+    # forward rows first, then backward, each over the whole grid
+    assert [line.split(",")[2] for line in lines[1:]] == ["forward"] * 6 + ["backward"] * 6
+    assert list(sweeps) == ["forward", "backward"]
+    slices = figure_dataset("nonreciprocity", DEFAULT_CONFIG, R_SMALL, J_SMALL)
+    assert [columns.direction for columns in slices] == [Direction.FORWARD, Direction.BACKWARD]
 
 
-def test_duplicate_direction_rejected(small_grids):
-    forward, _ = small_grids
-    with pytest.raises(ValueError):
-        figure_dataset("depth", [forward, forward])
+def test_nonreciprocity_requires_both_directions(tmp_path):
+    # it always sweeps both, so it takes no direction of its own
+    for direction in Direction:
+        with pytest.raises(ConfigError, match="both directions"):
+            figure_dataset("nonreciprocity", DEFAULT_CONFIG, R_SMALL, J_SMALL, direction)
+    # whatever the direction of the base configuration
+    backward = replace(DEFAULT_CONFIG, direction=Direction.BACKWARD)
+    _, (_, _, sweeps) = table_lines("nonreciprocity", tmp_path, base=backward)
+    assert list(sweeps) == ["forward", "backward"]
 
 
-def test_depth_and_occupation_tables(small_grids):
-    forward, backward = small_grids
-    depth = figure_dataset("depth", forward)
-    assert depth.columns == ("r_over_omega", "j_over_omega", "m_max")
-    for _, _, m_max in depth.rows:
-        assert m_max is None or 0 <= m_max <= 10
-    occupation = figure_dataset("occupation", forward)
-    assert occupation.columns == ("r_over_omega", "j_over_omega", "nbar")
+def test_depth_and_occupation_tables(tmp_path):
+    depth, _ = table_lines("depth", tmp_path)
+    assert depth[0] == "r_over_omega,j_over_omega,m_max"
+    for line in depth[1:]:
+        m_max = line.split(",")[2]
+        assert m_max == "" or 0 <= int(m_max) <= 10
+    occupation, (_, _, sweeps) = table_lines("occupation", tmp_path)
+    assert occupation[0] == "r_over_omega,j_over_omega,nbar"
+    assert list(sweeps) == ["forward"]
     # depth figures are forward-transport quantities
-    with pytest.raises(MissingDirectionError):
-        figure_dataset("depth", backward)
-    with pytest.raises(MissingDirectionError):
-        figure_dataset("occupation", backward)
+    for name in ("depth", "occupation"):
+        assert table_lines(name, tmp_path, Direction.FORWARD)[0] == table_lines(name, tmp_path)[0]
+        with pytest.raises(ConfigError, match="forward direction"):
+            figure_dataset(name, DEFAULT_CONFIG, R_SMALL, J_SMALL, Direction.BACKWARD)
 
 
-def test_stability_table(small_grids):
-    forward, _ = small_grids
-    table = figure_dataset("stability", forward)
-    assert table.columns == (
-        "r_over_omega",
-        "j_over_omega",
-        "stable",
-        "physical",
-        "spectral_abscissa",
-    )
-    for _, _, stable, physical, abscissa in table.rows:
-        assert isinstance(stable, bool) and isinstance(physical, bool)
-        assert isinstance(abscissa, float)
+def test_stability_table(tmp_path):
+    lines, (_, _, sweeps) = table_lines("stability", tmp_path)
+    assert lines[0] == "r_over_omega,j_over_omega,stable,physical,spectral_abscissa"
+    assert list(sweeps) == ["forward"]
+    for line in lines[1:]:
+        _, _, stable, physical, abscissa = line.split(",")
+        assert stable in ("true", "false") and physical in ("true", "false")
+        float(abscissa)
+    # either direction on request; forward by default, whatever the base says
+    backward = replace(DEFAULT_CONFIG, direction=Direction.BACKWARD)
+    assert table_lines("stability", tmp_path, base=backward)[0] == lines
+    _, (_, _, sweeps) = table_lines("stability", tmp_path, Direction.BACKWARD)
+    assert list(sweeps) == ["backward"]
 
 
-def test_unknown_figure_rejected(small_grids):
-    forward, _ = small_grids
-    with pytest.raises(ValueError):
-        figure_dataset("surface", forward)
+def test_unknown_figure_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="unknown figure"):
+        figure_dataset("surface", DEFAULT_CONFIG, R_SMALL, J_SMALL)
+    path = tmp_path / "surface.csv"
+    with pytest.raises(ConfigError):
+        export_csv("surface", DEFAULT_CONFIG, R_SMALL, J_SMALL, path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 
 
-def test_export_csv_format(tmp_path, small_grids):
-    forward, backward = small_grids
-    table = figure_dataset("nonreciprocity", [forward, backward])
+def test_export_csv_format(tmp_path):
     path = tmp_path / "pairs.csv"
-    export_csv(table, path)
+    _, rows, _ = export_csv("nonreciprocity", DEFAULT_CONFIG, R_SMALL, J_SMALL, path)
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode("utf-8").splitlines()
     assert lines[0] == "r_over_omega,j_over_omega,direction,log_negativity"
-    assert len(lines) == 1 + len(table.rows)
+    assert len(lines) == 1 + rows
     # values round-trip bit-exactly through the 17-digit format
-    for line, row in zip(lines[1:], table.rows):
+    points = [
+        p
+        for d in Direction
+        for row in sweep_grid(DEFAULT_CONFIG, R_SMALL, J_SMALL, d).results
+        for p in row
+    ]
+    for line, p in zip(lines[1:], points):
         cells = line.split(",")
-        assert float(cells[0]) == row[0]
-        if row[3] is not None:
-            assert float(cells[3]) == row[3]
+        assert float(cells[0]) == p.r_over_omega and float(cells[1]) == p.j_over_omega
+        pair = p.en_forward_pair if p.direction is Direction.FORWARD else p.en_backward_pair
+        if pair is not None:
+            assert float(cells[3]) == pair
         else:
             assert cells[3] == ""
 
 
 def test_export_csv_booleans_and_empty_cells(tmp_path):
-    grid = sweep_grid(DEFAULT_CONFIG, [0.1, 2.0], [0.1], Direction.FORWARD)
-    path = tmp_path / "stability.csv"
-    export_csv(figure_dataset("stability", grid), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines, (_, _, sweeps) = table_lines("stability", tmp_path, r=[0.1, 2.0], j=[0.1])
     assert lines[1].split(",")[2:4] == ["true", "true"]
     assert lines[2].split(",")[2:4] == ["false", "false"]
+    assert sweeps == {"forward": {"passes": 1, "stable": 1, "unstable": 1, "failed": 0}}
 
-    depth_path = tmp_path / "depth.csv"
-    export_csv(figure_dataset("depth", grid), depth_path)
-    depth_lines = depth_path.read_text(encoding="utf-8").splitlines()
+    depth_lines, _ = table_lines("depth", tmp_path, r=[0.1, 2.0], j=[0.1])
     # the unstable point exports as an empty cell, not a zero
     assert depth_lines[2].endswith(",")
 
 
-def test_export_csv_is_deterministic(tmp_path, small_grids):
-    forward, _ = small_grids
-    table = figure_dataset("depth", forward)
+def test_export_csv_is_deterministic(tmp_path):
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    export_csv(table, path_a)
-    export_csv(table, path_b)
+    first = export_csv("depth", DEFAULT_CONFIG, R_SMALL, J_SMALL, path_a)
+    second = export_csv("depth", DEFAULT_CONFIG, R_SMALL, J_SMALL, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+    assert first == second
+    assert first[0] == hashlib.sha256(path_a.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, direction",
+    [("depth", Direction.BACKWARD), ("occupation", Direction.BACKWARD),
+     ("nonreciprocity", Direction.FORWARD)],
+)
+def test_export_csv_rejects_a_direction_before_writing(tmp_path, name, direction):
+    path = tmp_path / f"{name}.csv"
+    with pytest.raises(ConfigError):
+        export_csv(name, DEFAULT_CONFIG, R_SMALL, J_SMALL, path, direction)
+    assert not path.exists()
+
+
+def test_export_csv_removes_a_partial_file(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr("entflow.sweep.solve_steady_states", failing)
+    path = tmp_path / "depth.csv"
+    with pytest.raises(RuntimeError, match="solver broke"):
+        export_csv("depth", DEFAULT_CONFIG, R_SMALL, J_SMALL, path)
+    assert not path.exists()
