@@ -53,7 +53,6 @@ from .measures import (
     log_negativity,
     mean_occupation,
     pair_log_negativities,
-    physicality,
     ppt_symplectic_min,
     reduce_single_mode,
     reduce_two_mode,

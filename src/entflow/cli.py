@@ -184,6 +184,24 @@ def _environment() -> dict:
     }
 
 
+def _write_manifest(path: Path, manifest: dict, table: Path) -> None:
+    """Write ``manifest`` as JSON to ``path`` through a temporary file in the
+    same directory, replaced into place whole.  On any failure the temporary
+    file and the figure's ``table`` are removed, so a failed run leaves
+    neither a table without a manifest nor a partial manifest."""
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(temporary, path)
+    except BaseException:
+        table.unlink(missing_ok=True)
+        if temporary.is_file():
+            temporary.unlink()
+        raise
+
+
 def cmd_figure(args) -> int:
     try:
         cfg = _load_base_config(args)
@@ -216,9 +234,7 @@ def cmd_figure(args) -> int:
             "outputs": {out.name: digest},
             "environment": _environment(),
         }
-        with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_manifest(manifest_path, manifest, out)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -15,15 +15,19 @@ a single group.  A damped-rotation 2x2 block (every chain node) already is
 in real Schur canonical form, with exact eigenvalues; any other block gets a
 small real Schur form.  Together they make A orthogonally quasi-triangular,
 so the spectrum, and with it stability, is read off the diagonal and the
-Lyapunov equation becomes one real triangular Sylvester solve.  The solver
-takes a stack of drifts at once (``solve_steady_states``), which is how
-parameter sweeps run; the single-matrix functions are its batch of one.
-The block order, and which blocks need a Schur form, is a ``BlockPlan``
-(``block_plan``): a plan built from a nonzero pattern serves every drift
-whose pattern lies within it, so a family of drifts, such as a network
-over its (r, j) grid, shares one.  Besides the drifts, a solve holds two
-stacks of their shape at once.  A generic Kronecker-vectorized solver,
-(I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent oracle.
+Lyapunov equation becomes one real triangular Sylvester solve.  Stability
+has one rule, applied by every solve and by ``stability_report``: the
+spectral abscissa must be below -STABILITY_MARGIN.  The solver takes a
+stack of drifts at once (``solve_steady_states``), which is how parameter
+sweeps run; the single-matrix functions are its batch of one.  The block
+order is a ``BlockPlan`` (``block_plan``): a plan built from a nonzero
+pattern serves every drift whose pattern lies within it, so a family of
+drifts, such as a network over its (r, j) grid, shares one.  Which of its
+blocks need a Schur form is decided per drift, by one vectorized
+damped-rotation test over all 2x2 blocks.  Besides the drifts, a solve
+holds two stacks of their shape at once.  A generic Kronecker-vectorized
+solver, (I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent
+oracle.
 Every returned matrix is checked against the residual contract
 ||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max).
 
@@ -65,7 +69,8 @@ from .errors import (
     UnstableError,
 )
 
-# |spectral abscissa| below this is reported Marginal rather than stable.
+# The one stability rule: stable means a spectral abscissa below
+# -STABILITY_MARGIN; |abscissa| below it is reported marginal.
 STABILITY_MARGIN = 1e-9
 # Acceptance gates of the eigenbasis diagnostic (SpectralDecomposition).
 CONDITION_LIMIT = 1e8
@@ -126,11 +131,9 @@ class BlockPlan:
     """Block upper-triangular form shared by a family of drifts.
 
     For every drift the plan serves, a[order][:, order] is block upper
-    triangular.  ``blocks`` lists, as (lo, hi) in the permuted indices, the
-    diagonal blocks that may need a real Schur form: every block larger
-    than 2x2, and every 2x2 block that is not a damped rotation on all the
-    drifts (1x1 blocks and damped rotations are already in real Schur
-    canonical form).
+    triangular.  ``blocks`` lists, as (lo, hi) in the permuted indices,
+    every diagonal block larger than 1x1; whether one needs a real Schur
+    form is decided per drift (``_schur_forms``).
     """
 
     order: np.ndarray
@@ -215,27 +218,15 @@ def _block_order(a: np.ndarray) -> tuple:
     return order, stops - sizes, stops
 
 
-def block_plan(a: np.ndarray, varying=None) -> BlockPlan:
+def block_plan(a: np.ndarray) -> BlockPlan:
     """Block plan of the drifts whose nonzero pattern lies within that of
-    ``a`` (n, n) and whose entries outside the rows and columns ``varying``
-    equal those of ``a``.
+    ``a`` (n, n).
 
     A pattern that contains a drift's pattern gives a block-triangular form
-    of that drift too.  A 2x2 block without a ``varying`` index is the same
-    in every drift, so whether it is a damped rotation is read off ``a``
-    once; with ``varying`` None (any entry may vary) every 2x2 block stays
-    in ``blocks`` and is checked per drift.
+    of that drift too.
     """
-    a = np.asarray(a)
-    order, starts, stops = _block_order(a)
+    order, starts, stops = _block_order(np.asarray(a))
     needed = stops - starts > 1
-    if varying is not None:
-        fixed = np.ones(a.shape[0], dtype=bool)
-        fixed[list(varying)] = False
-        pairs = np.flatnonzero(stops - starts == 2)
-        i, k = order[starts[pairs]], order[starts[pairs] + 1]
-        rotations = (a[k, k] == a[i, i]) & (a[k, i] == -a[i, k])
-        needed[pairs[fixed[i] & fixed[k] & rotations]] = False
     blocks = zip(starts[needed].tolist(), stops[needed].tolist())
     return BlockPlan(order=order, blocks=tuple(blocks))
 
@@ -261,38 +252,42 @@ def _unsorted(*_eigenvalue) -> bool:
 
 
 def _schur_forms(u: np.ndarray, plan: BlockPlan) -> list:
-    """Bring the stack ``u`` (B, n, n), already in the plan's order, to real
-    block Schur form in place, and return its groups.
+    """Real Schur forms of the diagonal blocks of the stack ``u`` (B, n, n),
+    already in the plan's order, as groups (lo, hi, z, t); ``u`` is left
+    unchanged.
 
-    Afterwards u[b] = Z_b^T u0[b] Z_b is quasi upper triangular in Schur
-    canonical form (1x1 blocks and 2x2 blocks [[alpha, beta], [gamma,
-    alpha]] with beta gamma < 0), so its diagonal holds the real parts of
-    the eigenvalues.  Z_b is orthogonal and block diagonal over the blocks
-    of the plan.  It is the identity on 1x1 blocks and on damped rotations
-    [[alpha, beta], [-beta, alpha]] (every chain node), which already are
-    canonical, with the exact eigenvalues alpha -+ i beta; every other block
-    gets a real Schur form (LAPACK dgees).  Each group (lo, hi, z) is one
-    block [lo, hi) that some matrix of the stack transforms, with
-    Z_b[lo:hi, lo:hi] = z[b].
+    Each group is one block [lo, hi) that some matrix of the stack needs
+    brought to Schur form: u[b][lo:hi, lo:hi] = z[b] t[b] z[b]^T.  With Z_b
+    the block-diagonal orthogonal matrix of the groups (identity outside
+    them), Z_b^T u[b] Z_b with every block [lo, hi) replaced by t[b] is quasi
+    upper triangular in Schur canonical form (1x1 blocks and 2x2 blocks
+    [[alpha, beta], [gamma, alpha]] with beta gamma < 0), so its diagonal
+    holds the real parts of the eigenvalues.  Damped rotations
+    [[alpha, beta], [-beta, alpha]] (every chain node) already are
+    canonical, with the exact eigenvalues alpha -+ i beta: one vectorized
+    test over every 2x2 block of every matrix finds them, z[b] is the
+    identity and t[b] the block itself there, and a block that is canonical
+    in every matrix makes no group.  Every other block gets a real Schur
+    form (LAPACK dgees).
     """
+    first = np.array([lo for lo, _ in plan.blocks], dtype=np.intp)
+    pairs = np.array([hi - lo == 2 for lo, hi in plan.blocks], dtype=bool)
+    second = first + 1
+    needed = ~(
+        pairs
+        & (u[:, second, second] == u[:, first, first])
+        & (u[:, second, first] == -u[:, first, second])
+    )
     groups = []
-    for lo, hi in plan.blocks:
+    for k in np.flatnonzero(needed.any(axis=0)).tolist():
+        lo, hi = plan.blocks[k]
         block = u[:, lo:hi, lo:hi]
-        canonical = np.zeros(u.shape[0], dtype=bool)
-        if hi - lo == 2:
-            canonical = (block[:, 1, 1] == block[:, 0, 0]) & (
-                block[:, 1, 0] == -block[:, 0, 1]
-            )
-        if canonical.all():
-            continue
         t = block.copy()
         z = np.zeros_like(t)
         z[:] = np.eye(hi - lo)
-        for b in np.flatnonzero(~canonical).tolist():
+        for b in np.flatnonzero(needed[:, k]).tolist():
             t[b], z[b] = _schur(block[b])
-        groups.append((lo, hi, z))
-        _congruence([groups[-1]], u)
-        u[:, lo:hi, lo:hi] = t
+        groups.append((lo, hi, z, t))
     return groups
 
 
@@ -300,7 +295,7 @@ def _congruence(groups, x: np.ndarray, inverse: bool = False) -> None:
     """Replace each matrix of the stack ``x`` by Z^T x Z, or by Z x Z^T with
     ``inverse``, where Z is the block-diagonal orthogonal matrix of
     ``groups`` (identity outside them)."""
-    for lo, hi, z in groups:
+    for lo, hi, z, _ in groups:
         left = z if inverse else _transpose(z)
         x[:, lo:hi] = left @ x[:, lo:hi]
         x[:, :, lo:hi] = x[:, :, lo:hi] @ _transpose(left)
@@ -332,23 +327,23 @@ def spectral_abscissa(a: np.ndarray) -> float:
     a = _finite(np.asarray(a, dtype=float))
     plan = block_plan(a)
     u = _permuted(a, plan)[None]
-    _schur_forms(u, plan)
+    for lo, hi, _, t in _schur_forms(u, plan):
+        u[:, lo:hi, lo:hi] = t
     return float(_abscissa(u)[0])
 
 
-def stability_report(a: np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityReport:
+def stability_report(a: np.ndarray) -> StabilityReport:
     """Classify ``a`` as stable, marginal, or unstable.
 
-    Stable means the abscissa is below -margin; values within +-margin of
-    zero are marginal (reported, never treated as stable).
+    Stable means the abscissa is below -STABILITY_MARGIN, the rule every
+    steady-state solve applies; values within +-STABILITY_MARGIN of zero are
+    marginal (reported, never treated as stable).
     """
     abscissa = spectral_abscissa(a)
-    marginal = abs(abscissa) < margin
     return StabilityReport(
         spectral_abscissa=abscissa,
-        stable=(abscissa < -margin),
-        marginal=marginal,
-        margin_tolerance=margin,
+        stable=(abscissa < -STABILITY_MARGIN),
+        marginal=abs(abscissa) < STABILITY_MARGIN,
     )
 
 
@@ -494,8 +489,9 @@ def solve_steady_state_spectral(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
     source's parameters.  The result is symmetrized.  This is
     ``solve_steady_states`` on a stack of one.
 
-    Raises UnstableError when the spectral abscissa is >= 0 (no decaying
-    fixed point), SingularSystemError when LAPACK reports a near-singular
+    Raises UnstableError when the spectral abscissa is >= -STABILITY_MARGIN
+    (no decaying fixed point, or one too close to marginal to tell),
+    SingularSystemError when LAPACK reports a near-singular
     Sylvester operator, and ResidualTooLargeError when the computed matrix
     fails the residual contract.
     """
@@ -508,7 +504,6 @@ def solve_steady_state_spectral(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
 def solve_steady_states(
     a: np.ndarray,
     noise: np.ndarray,
-    cutoff: float = 0.0,
     plan: BlockPlan | None = None,
     overwrite_a: bool = False,
 ) -> tuple:
@@ -518,10 +513,10 @@ def solve_steady_states(
     Every drift takes the block form of ``plan`` (see
     ``solve_steady_state_spectral``); by default, the plan of the stack's
     union nonzero pattern.  It gives every drift's spectral abscissa, and
-    the drifts whose abscissa is below ``cutoff`` (at most 0) go on to the
-    triangular Sylvester solve, one dtrsyl call each; every other step acts
-    on the whole stack at once.  Each drift's result depends on that drift
-    and the plan alone, never on the rest of the stack.
+    the stable drifts, those whose abscissa is below -STABILITY_MARGIN, go
+    on to the triangular Sylvester solve, one dtrsyl call each; every other
+    step acts on the whole stack at once.  Each drift's result depends on
+    that drift and the plan alone, never on the rest of the stack.
 
     The solve holds two stacks of the shape of ``a``: the drifts in the
     block order, brought to Schur form and back, which ends up holding the
@@ -532,8 +527,8 @@ def solve_steady_states(
 
     Returns (abscissa, states, errors): abscissa has shape (B,); errors[b]
     is None or the error ``solve_steady_state_spectral`` raises for drift b
-    (UnstableError when its abscissa is not below ``cutoff``); states[b] is
-    its steady state where errors[b] is None and undefined otherwise.
+    (UnstableError exactly where drift b is not stable); states[b] is its
+    steady state where errors[b] is None and undefined otherwise.
     """
     a = _finite(np.asarray(a, dtype=float))
     if plan is None:
@@ -544,25 +539,27 @@ def solve_steady_states(
     c = np.add(noise, u, out=a if overwrite_a else None)
     c += _transpose(u)
     np.negative(c, out=c)
-    # the rows and columns the Schur bases change, to restore A afterwards
-    saved = [
-        (lo, hi, u[:, lo:hi].copy(), u[:, :, lo:hi].copy()) for lo, hi in plan.blocks
-    ]
     groups = _schur_forms(u, plan)
+    # the rows and columns the Schur bases change, to restore A afterwards
+    saved = [(lo, hi, u[:, lo:hi].copy(), u[:, :, lo:hi].copy()) for lo, hi, _, _ in groups]
+    _congruence(groups, u)
+    for lo, hi, _, t in groups:
+        u[:, lo:hi, lo:hi] = t
     _congruence(groups, c)
 
     abscissa = _abscissa(u)
+    stable = abscissa < -STABILITY_MARGIN
     errors = [
         None
-        if value < cutoff
+        if up
         else UnstableError(
             "dynamics has no decaying steady state "
-            f"(spectral abscissa {value:.3e} >= {cutoff:.3g})"
+            f"(spectral abscissa {value:.3e} >= {-STABILITY_MARGIN:.3g})"
         )
-        for value in abscissa.tolist()
+        for value, up in zip(abscissa.tolist(), stable.tolist())
     ]
-    c[abscissa >= cutoff] = 0.0
-    for b in np.flatnonzero(abscissa < cutoff).tolist():
+    c[~stable] = 0.0
+    for b in np.flatnonzero(stable).tolist():
         y, scale, info = scipy.linalg.lapack.dtrsyl(u[b], u[b], c[b], tranb="T")
         if info != 0:
             errors[b] = SingularSystemError(

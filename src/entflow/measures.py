@@ -6,15 +6,15 @@ thresholds are stated in the literature for half that normalization, so the
 measures divide by two internally (sigma = V/2) and the usual 1/2 thresholds
 apply verbatim.
 
-Physicality and entanglement read symplectic spectra off one construction:
-the Cholesky factor sigma = L L^T and the antisymmetric form L^T Omega L,
-whose singular values are the symplectic eigenvalues of sigma.
+Entanglement reads symplectic spectra off one construction: the Cholesky
+factor sigma = L L^T and the antisymmetric form L^T Omega L, whose singular
+values are the symplectic eigenvalues of sigma.
 
-Physicality of steady states is also decided without any steady state:
+Physicality of steady states is decided without any steady state:
 ``certify_physicality`` proves it for every stable point of a drift and
-diffusion at once, from one Hermitian matrix of the generator.  Sweeps use
-that certificate and fall back to the per-state test ``physicality`` only
-where it fails.
+diffusion at once, from one Hermitian matrix of the generator.  It holds for
+every valid network with dissipation, and sweeps report it as is;
+``check_physical`` tests one computed matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import scipy.linalg
 from .errors import (
     ComplexEigenvalueError,
     EigenFailureError,
-    EntflowError,
     NonpositiveOccupationError,
 )
 
@@ -183,11 +182,17 @@ def ppt_symplectic_min(tm) -> float:
     """
     nu = float(_pt_nu_minus(_two_mode_matrix(tm) / 2.0))
     if math.isnan(nu):
-        raise ComplexEigenvalueError(
-            "partially transposed state is not positive definite; "
-            "the input is not a physical two-mode covariance matrix"
-        )
+        raise _indefinite_pair()
     return nu
+
+
+def _indefinite_pair() -> ComplexEigenvalueError:
+    """The error of a two-mode state whose partial transpose is not
+    positive definite (a NaN of ``pair_log_negativities``)."""
+    return ComplexEigenvalueError(
+        "partially transposed state is not positive definite; "
+        "the input is not a physical two-mode covariance matrix"
+    )
 
 
 def log_negativity(tm) -> EntanglementRecord:
@@ -253,37 +258,6 @@ def check_physical(v: np.ndarray, atol: float = 1e-8) -> PhysicalityReport:
         min_eigenvalue=min_eig,
         min_symplectic=min_nu,
     )
-
-
-def physicality(v: np.ndarray, atol: float = 1e-8) -> tuple:
-    """``check_physical(v[b], atol).physical`` for every covariance matrix of
-    the stack ``v`` (B, n, n), as (flags, errors).
-
-    Where sigma = V/2 is positive definite, the symplectic eigenvalues are
-    the moduli of the eigenvalues of the Hermitian form i L^T Omega L of its
-    Cholesky factor L; they come from one batched eigvalsh.  Every other
-    matrix goes through ``check_physical``; errors[b] holds what it raised,
-    and is None otherwise.
-
-    This tests the computed matrices.  Sweeps report physicality of the
-    exact steady states instead, from ``certify_physicality``, and call this
-    only when that certificate fails.
-    """
-    v = np.asarray(v, dtype=float)
-    sym = (v + v.swapaxes(-1, -2)) / 2.0
-    tol = atol * np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
-    forms, factored = _williamson_forms(sym / 2.0)
-    flags = np.zeros(v.shape[0], dtype=bool)
-    errors = [None] * v.shape[0]
-    if factored.any():
-        nu = np.abs(np.linalg.eigvalsh(1j * forms[factored])).min(axis=1)
-        flags[factored] = nu >= 0.5 - tol[factored]
-    for b in np.flatnonzero(~factored).tolist():
-        try:
-            flags[b] = check_physical(v[b], atol).physical
-        except EntflowError as exc:
-            errors[b] = exc
-    return flags, errors
 
 
 def certify_physicality(a: np.ndarray, noise: np.ndarray) -> bool:

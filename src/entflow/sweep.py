@@ -13,10 +13,11 @@ for the stable points only, and the source-pair entanglements from stacked
 closed forms.  One block plan serves the whole network: its nonzero pattern
 with the source coupling holds every grid point's, j = 0 included.  The
 batch is cut into slices under a fixed working-set budget, counted from the
-stacks the engine holds at once.  Physicality does not depend on (r, j) at
-all: one certificate of the generator (``certify_physicality``) per sweep
-proves every stable steady state physical, and the per-state test runs only
-where the certificate fails.
+stacks the engine holds at once.  Stability is the solve's own verdict.
+Physicality does not depend on (r, j) at all: one certificate of the
+generator (``certify_physicality``) per sweep decides it for every solved
+point.  The certificate holds for every valid network with dissipation, and
+a network without any has no stable point.
 
 The engine hands back each slice as columns (``SweepColumns``): r, j,
 stable, physical, the spectral abscissa, each point's failure, and only the
@@ -29,13 +30,12 @@ optional fields that were asked for (``sweep_columns``).  One table
 ``export_csv``, the one figure writer, streams each slice's rows to the
 CSV as soon as it is computed, so its memory does not grow with the grid.
 A figure cell is empty when its point is unstable, or when the point's
-solve (with the per-state physicality test where it runs) or the quantity
-the figure writes failed; a pair the figure does not write is never
-evaluated, so its failure blanks nothing.  ``sweep_grid`` asks for every
-field and keeps one PointResult per point, whose ``solver_error`` is the
-first failure of any of them; ``run_point`` is its one-row view, under
-the same plan, and a point's result never depends on the batch it was
-computed in.
+solve or the quantity the figure writes failed; a pair the figure does not
+write is never evaluated, so its failure blanks nothing.  ``sweep_grid``
+asks for every field and keeps one PointResult per point, whose
+``solver_error`` is the first failure of any of them; ``run_point`` is its
+one-row view, under the same plan, and a point's result never depends on
+the batch it was computed in.
 
 Everything here is deterministic: no randomness, no timestamps.
 """
@@ -50,15 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EntflowError
-from .lyapunov import STABILITY_MARGIN, BlockPlan, block_plan, solve_steady_states
-from .measures import (
-    certify_physicality,
-    log_negativity,
-    pair_log_negativities,
-    physicality,
-    reduce_two_mode,
-)
+from .errors import ConfigError, UnstableError
+from .lyapunov import BlockPlan, block_plan, solve_steady_states
+from .measures import _indefinite_pair, certify_physicality, pair_log_negativities
 from .network import (
     Direction,
     NetworkConfig,
@@ -142,12 +136,12 @@ _CELLS = {
 class PointResult:
     """Steady-state summary of one (r, j, direction) operating point.
 
-    ``physical`` is the physicality of the exact steady state of the
-    generator: true for every stable, solved point once the generator's
-    certificate (``certify_physicality``) holds, and from the per-state test
-    of the computed matrix only where it does not.  The computed matrix is
-    still held to the solver's residual contract, and a failed pair goes to
-    ``solver_error``.
+    ``stable`` is the solve's verdict: a spectral abscissa below
+    -STABILITY_MARGIN.  ``physical`` is the physicality of the exact steady
+    state of the generator: the generator's certificate
+    (``certify_physicality``) at every stable, solved point, and False
+    elsewhere.  The computed matrix is still held to the solver's residual
+    contract, and a failed pair goes to ``solver_error``.
 
     Fields after ``spectral_abscissa`` are None when undefined: every
     steady-state quantity for unstable or failed points, the pair
@@ -186,14 +180,13 @@ def max_entangled_node(v: np.ndarray, threshold: float = ENTANGLEMENT_THRESHOLD)
     ``threshold``; 0 when no node is entangled.
 
     Scans every node rather than assuming entanglement depth is contiguous.
-    Raises ComplexEigenvalueError for the first pair whose partially
-    transposed spectrum is complex.
+    Raises ComplexEigenvalueError when a pair's partially transposed
+    spectrum is complex.
     """
     nodes = list(range(1, v.shape[0] // 2))
     en = pair_log_negativities(np.asarray(v, dtype=float)[None], 0, nodes)
-    failed = np.flatnonzero(np.isnan(en[0]))
-    if failed.size:
-        log_negativity(reduce_two_mode(v, 0, nodes[failed[0]]))
+    if np.isnan(en).any():
+        raise _indefinite_pair()
     return int(_deepest(en, threshold)[0])
 
 
@@ -213,7 +206,7 @@ def _grid_plan(net: ValidatedNetwork, drift: np.ndarray) -> BlockPlan:
     removes that coupling, and r acts on the diagonal), so it is block
     triangular for all of them, and j = 0 points share the plan of the rest.
     """
-    return block_plan(drift + source_coupling(net), varying=(0, 1))
+    return block_plan(drift + source_coupling(net))
 
 
 POINT_FIELDS = tuple(field.name for field in fields(PointResult))
@@ -303,43 +296,28 @@ def _columns(
     plan ``plan``, computing the optional PointResult fields in ``wanted``
     only.  The solve overwrites ``drifts``.
 
-    ``certified`` is ``certify_physicality`` of the network: when it holds,
-    every stable, solved point is physical; otherwise the per-state test
-    ``physicality`` decides.  Unstable dynamics is a finding, not an error:
-    such a point has stable = False and no steady-state fields.  Solver and
-    measure failures of a stable point go to its error, with the message
-    the single-point functions raise, the first one in the order solve,
-    physicality (per-state test only), source-pair entanglement.  Only the
-    pairs ``wanted`` needs are evaluated, so a failure in any other pair
-    goes unseen.
+    ``certified`` is ``certify_physicality`` of the network, the
+    ``physical`` flag of every stable, solved point.  Unstable dynamics is a
+    finding, not an error: such a point has stable = False and no
+    steady-state fields.  Solver and measure failures of a stable point go
+    to its error, with the message the single-point functions raise, the
+    first one in the order solve, source-pair entanglement.  Only the pairs
+    ``wanted`` needs are evaluated, so a failure in any other pair goes
+    unseen.
     """
-    abscissa, states, errors = solve_steady_states(
-        drifts, noise, -STABILITY_MARGIN, plan, overwrite_a=True
-    )
+    abscissa, states, errors = solve_steady_states(drifts, noise, plan, overwrite_a=True)
     # drop the solve's scratch and, below, the unsolved states, so that the
     # measures hold only the solved states and the pair kernel
     del drifts
-    stable = abscissa < -STABILITY_MARGIN
-    solved = [b for b in np.flatnonzero(stable).tolist() if errors[b] is None]
+    solved = [b for b, error in enumerate(errors) if error is None]
     v = states[solved]
     del states
-    physical = np.zeros(abscissa.size, dtype=bool)
-    if certified:
-        physical[solved] = True
-    else:
-        physical[solved], physical_errors = physicality(v)
-        for b, error in zip(solved, physical_errors):
-            errors[b] = error
 
     depth = net.direction is Direction.FORWARD and not set(_DEPTH_FIELDS).isdisjoint(wanted)
     nodes = _source_pairs(net, wanted, depth)
     en = pair_log_negativities(v, 0, nodes) if nodes else np.empty((len(solved), 0))
     for row in np.flatnonzero(np.isnan(en).any(axis=1)).tolist():
-        b = solved[row]
-        try:  # raises the error of the first failed pair
-            log_negativity(reduce_two_mode(v[row], 0, nodes[np.argmax(np.isnan(en[row]))]))
-        except EntflowError as exc:
-            errors[b] = errors[b] or exc
+        errors[solved[row]] = _indefinite_pair()
 
     def at_every_point(column: np.ndarray) -> np.ndarray:
         full = np.zeros(abscissa.size, dtype=column.dtype)
@@ -358,17 +336,19 @@ def _columns(
             (v[rows, k, k] + v[rows, k + 1, k + 1] - 2.0) / 4.0
         )
 
+    # the solve decided stability: an unstable point's error is a finding
+    stable = np.array([not isinstance(error, UnstableError) for error in errors], dtype=bool)
     messages = [
         f"{type(error).__name__}: {error}" if up and error is not None else None
         for up, error in zip(stable.tolist(), errors)
     ]
-    ok = stable & np.array([message is None for message in messages], dtype=bool)
+    ok = np.array([error is None for error in errors], dtype=bool)
     return SweepColumns(
         direction=net.direction,
         r=r,
         j=j,
         stable=stable,
-        physical=physical & ok,
+        physical=ok & certified,
         abscissa=abscissa,
         solved=ok,
         errors=messages,
@@ -559,9 +539,9 @@ def export_csv(
     The file is UTF-8 with LF line endings and a header row.  Floats have
     17 significant digits, so they round-trip bit-exactly, and booleans are
     true/false.  A cell is empty where its point is unstable, or where the
-    point's solve (with the per-state physicality test where it runs) or the
-    quantity the figure writes failed; a pair the figure does not write is
-    never evaluated, so its failure blanks nothing.
+    point's solve or the quantity the figure writes failed; a pair the
+    figure does not write is never evaluated, so its failure blanks
+    nothing.
 
     The figure, the direction and the grid are checked before ``path`` is
     opened, and any failure after that removes the partial file.  Returns

@@ -306,6 +306,35 @@ def test_figure_unwritable_path_exits_4(tmp_path, capsys):
     assert "i/o" in err.lower()
 
 
+def test_figure_unwritable_manifest_exits_4_and_leaves_nothing(tmp_path, capsys):
+    # a directory where the manifest belongs: the run fails after the CSV is
+    # written, and takes the CSV with it
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    code, _, err = run_cli(
+        capsys, "figure", "depth", "--grid", "2x2", "--out", str(out)
+    )
+    assert code == EXIT_IO
+    assert "i/o" in err.lower()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["x.csv.manifest.json"]
+    assert (tmp_path / "x.csv.manifest.json").is_dir()
+    assert not any((tmp_path / "x.csv.manifest.json").iterdir())
+
+
+def test_figure_manifest_failing_midway_leaves_nothing(tmp_path, capsys, monkeypatch):
+    def failing(manifest, handle, **kwargs):
+        handle.write('{"version": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("entflow.cli.json.dump", failing)
+    code, _, err = run_cli(
+        capsys, "figure", "depth", "--grid", "2x2", "--out", str(tmp_path / "x.csv")
+    )
+    assert code == EXIT_IO
+    assert "no space left" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # selftest and plumbing
 

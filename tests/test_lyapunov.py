@@ -17,6 +17,7 @@ from entflow import (
     build_dynamical_matrix,
     build_noise_matrix,
     evolve_covariance,
+    run_point,
     solve_steady_state_spectral,
     solve_steady_state_vectorized,
     spectral_abscissa,
@@ -243,6 +244,39 @@ def test_marginal_rotation_has_no_steady_state():
         solve_steady_state_spectral(ROTATION, np.eye(2))
     with pytest.raises(SingularSystemError):
         solve_steady_state_vectorized(ROTATION, np.eye(2))
+
+
+def test_marginal_chain_is_unstable_everywhere():
+    # a decay rate of 1e-10 out of the source at r = j = 0 puts the
+    # abscissa at -5e-11, inside the stability margin: the solver, the
+    # report and the point summary give one verdict
+    net = make_net(gamma_out=1e-10, r=0.0, j=0.0)
+    a, n = build_dynamical_matrix(net), build_noise_matrix(net)
+    report = stability_report(a)
+    assert report.marginal and not report.stable
+    assert -1e-9 < report.spectral_abscissa < 0.0
+    with pytest.raises(UnstableError, match=r">= -1e-09\)$"):
+        solve_steady_state_spectral(a, n)
+    point = run_point(net)
+    assert not point.stable and point.solver_error is None
+    assert point.spectral_abscissa == report.spectral_abscissa
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+def test_only_the_source_block_enters_dgees(monkeypatch, direction):
+    # every chain node is a damped rotation, already in Schur form; the
+    # 4x4 source block is the one block a Schur decomposition is run on
+    calls = []
+    schur = lyapunov._schur
+
+    def counted(block):
+        calls.append(block.shape)
+        return schur(block)
+
+    monkeypatch.setattr(lyapunov, "_schur", counted)
+    point = run_point(make_net(M=30, r=0.1, j=0.5, direction=direction))
+    assert point.stable and point.solver_error is None
+    assert calls == [(4, 4)]
 
 
 def test_source_mode_principal_variances_straddle_vacuum():

@@ -208,8 +208,7 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_certified_sweep_never_runs_the_per_state_test(monkeypatch):
-    per_state = counting(monkeypatch, "physicality")
+def test_certified_sweep_marks_every_stable_point_physical():
     base = replace(DEFAULT_CONFIG, nbar_local=0.01, nbar_common=0.02)
     for direction in Direction:
         grid = sweep_grid(base, [0.0, 0.1, 0.3, 2.0], [0.0, 0.2, 0.5], direction)
@@ -217,7 +216,6 @@ def test_certified_sweep_never_runs_the_per_state_test(monkeypatch):
         assert sum(p.stable for p in points) >= 6
         assert all(p.physical == p.stable for p in points)
     assert run_point(make_net(r=0.1, j=0.5)).physical
-    assert per_state == []
 
 
 def test_certificate_is_computed_once_per_sweep(monkeypatch):
@@ -239,9 +237,9 @@ def test_j_zero_points_do_not_depend_on_their_slice(monkeypatch, direction, warm
     # same alone, among j = 0 points only and among j != 0 points
     plans = []
 
-    def recording(a, noise, cutoff, plan, **kwargs):
+    def recording(a, noise, plan, **kwargs):
         plans.append(plan)
-        return solve_steady_states(a, noise, cutoff, plan, **kwargs)
+        return solve_steady_states(a, noise, plan, **kwargs)
 
     monkeypatch.setattr("entflow.sweep.solve_steady_states", recording)
     base = replace(oracle_base(10, warm), direction=direction)
@@ -273,9 +271,9 @@ def test_block_plan_is_built_once_per_sweep(monkeypatch):
     assert len(plans) == 2
 
 
-def test_sub_vacuum_diffusion_falls_back_to_the_per_state_test(monkeypatch):
+def test_sub_vacuum_diffusion_marks_no_point_physical(monkeypatch):
     # half the diffusion puts every bath below the vacuum: the certificate
-    # fails, the per-state test runs, and no steady state is physical
+    # fails, and no steady state is physical
     net = make_net()
     a, noise = build_dynamical_matrix(net), build_noise_matrix(net)
     assert certify_physicality(a, noise)
@@ -284,12 +282,26 @@ def test_sub_vacuum_diffusion_falls_back_to_the_per_state_test(monkeypatch):
     monkeypatch.setattr(
         "entflow.sweep.build_noise_matrix", lambda net: 0.5 * build_noise_matrix(net)
     )
-    per_state = counting(monkeypatch, "physicality")
     grid = sweep_grid(DEFAULT_CONFIG, [0.0, 0.1, 0.3], [0.0, 0.2, 0.5])
     points = [p for row in grid.results for p in row]
-    assert per_state and all(p.stable for p in points)
+    assert all(p.stable for p in points)
     assert all(p.solver_error is None and not p.physical for p in points)
     assert not run_point(make_net(r=0.1, j=0.5)).physical
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+def test_network_without_dissipation_is_uncertified_and_never_stable(direction):
+    # no bath at all: Q = 0 fails the certificate, and the drift is
+    # Hamiltonian, so its spectrum is symmetric about the imaginary axis and
+    # no point is stable, r = 0 and j = 0 included
+    base = replace(DEFAULT_CONFIG, gamma=0.0, gamma_out=0.0, direction=direction)
+    net = validate_config(base)
+    assert not certify_physicality(build_dynamical_matrix(net), build_noise_matrix(net))
+    grid = sweep_grid(base, [0.0, 0.1, 0.5], [0.0, 0.2, 0.7])
+    for point in (p for row in grid.results for p in row):
+        assert not point.stable and not point.physical
+        assert point.solver_error is None and point.en_forward_pair is None
+        assert point.spectral_abscissa >= -1e-9
 
 
 def test_sweep_grid_shape_and_axes():
