@@ -13,7 +13,8 @@ from dataclasses import replace
 
 from entflow import (
     DEFAULT_CONFIG,
-    build_system_matrices,
+    build_dynamical_matrix,
+    build_noise_matrix,
     spectral_abscissa,
     stability_report,
     validate_config,
@@ -23,29 +24,29 @@ np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
 config = replace(DEFAULT_CONFIG, M=3, r=0.15, j=0.4)
 net = validate_config(config)
-system = build_system_matrices(net)
+drift = build_dynamical_matrix(net)
+noise = build_noise_matrix(net)
 
-print("quadrature order:", system.quadrature_order)
-print("noise channels:  ", system.noise_order)
+print("quadrature order:", " ".join(f"{q}{k}" for k in range(net.M + 1) for q in "xp"))
 print()
 
 # the drift is built from 2x2 blocks: one per mode on the diagonal,
 # one per coupling off the diagonal
 print("drift matrix A:")
-print(system.drift)
+print(drift)
 print()
 
 print("noise matrix N:")
-print(system.noise)
+print(noise)
 print()
 
-eigenvalues = np.linalg.eigvals(system.drift)
+eigenvalues = np.linalg.eigvals(drift)
 print("drift eigenvalues (real parts should all be negative):")
 for lam in sorted(eigenvalues, key=lambda z: z.real):
     print(f"  {lam.real:+.6f} {lam.imag:+.6f}i")
 print()
 
-report = stability_report(system.drift)
-print(f"spectral abscissa: {spectral_abscissa(system.drift):.6f}")
+report = stability_report(drift)
+print(f"spectral abscissa: {spectral_abscissa(drift):.6f}")
 print(f"stable:            {report.stable}")
 print(f"marginal:          {report.marginal}")

@@ -32,11 +32,11 @@ a = build_dynamical_matrix(net)
 n = build_noise_matrix(net)
 v = solve_steady_state_spectral(a, n)
 
-print(f"chain of {net.n_modes - 1} nodes behind one squeezed source")
+print(f"chain of {net.M} nodes behind one squeezed source")
 print(f"r = {R}, j = {J}, physical state: {check_physical(v).physical}")
 print()
 print("node   E_N(source, node)   occupation")
-for node in range(1, net.n_modes):
+for node in range(1, net.M + 1):
     pair = reduce_two_mode(v, 0, node)
     record = log_negativity(pair)
     nbar = mean_occupation(v, node)

@@ -18,16 +18,11 @@ from .errors import (
 from .network import (
     Direction,
     NetworkConfig,
-    SystemMatrices,
     ValidatedNetwork,
-    bath_occupations,
     build_drift_stack,
     build_dynamical_matrix,
-    build_input_matrix,
     build_noise_matrix,
-    build_system_matrices,
     config_violations,
-    node_damping,
     validate_config,
 )
 from .lyapunov import (
@@ -46,7 +41,6 @@ from .lyapunov import (
 from .measures import (
     EntanglementRecord,
     PhysicalityReport,
-    TwoModeCovariance,
     certify_physicality,
     check_physical,
     effective_temperature,
@@ -81,8 +75,6 @@ from .config_io import (
     PRESETS,
     PhysicalPreset,
     load_config_file,
-    save_eigenvalues_csv,
-    save_matrix_csv,
 )
 
 __version__ = "0.1.0"

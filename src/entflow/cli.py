@@ -219,22 +219,30 @@ def cmd_figure(args) -> int:
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
     manifest_path = out.with_name(out.name + ".manifest.json")
     try:
-        digest, rows, sweeps = export_csv(args.name, cfg, r_values, j_values, out, direction)
-        manifest = {
-            "version": __version__,
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "figure": args.name,
-            "config": _config_as_json(cfg),
-            "directions": list(sweeps),
-            "grid": {
-                "r_values": [float(v) for v in r_values],
-                "j_values": [float(v) for v in j_values],
-            },
-            "sweeps": sweeps,
-            "outputs": {out.name: digest},
-            "environment": _environment(),
-        }
-        _write_manifest(manifest_path, manifest, out)
+        try:
+            digest, rows, sweeps = export_csv(args.name, cfg, r_values, j_values, out, direction)
+            manifest = {
+                "version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "figure": args.name,
+                "config": _config_as_json(cfg),
+                "directions": list(sweeps),
+                "grid": {
+                    "r_values": [float(v) for v in r_values],
+                    "j_values": [float(v) for v in j_values],
+                },
+                "sweeps": sweeps,
+                "outputs": {out.name: digest},
+                "environment": _environment(),
+            }
+            _write_manifest(manifest_path, manifest, out)
+        except BaseException:
+            # a failure that leaves no table (it removed the one it opened)
+            # removes an earlier run's manifest too; a run rejected before
+            # opening the table leaves an earlier table and manifest alone
+            if not out.exists() and manifest_path.is_file():
+                manifest_path.unlink()
+            raise
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""Plain-text configuration files, physical presets, and matrix CSV dumps.
+"""Plain-text configuration files and physical presets.
 
 Config files are flat ``key = value`` lines.  ``#`` starts a comment, blank
 lines are ignored, list values are comma-separated, and a single number is
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 
 from .errors import ConfigError
 from .network import Direction, NetworkConfig
@@ -42,22 +41,16 @@ DEFAULT_CONFIG = NetworkConfig(
 
 @dataclass(frozen=True)
 class PhysicalPreset:
-    """Physical rates of a hardware platform, used only to convert
+    """A hardware platform's cavity frequency, used only to convert
     dimensionless occupations into effective temperatures."""
 
     name: str
     omega_cavity: float  # rad/s
-    kappa: float
-    omega_mech: float
-    gamma_mech: float
 
 
 MICROWAVE = PhysicalPreset(
     name="microwave",
     omega_cavity=2.0 * math.pi * 5.0e9,
-    kappa=2.0 * math.pi * 2.0e6,
-    omega_mech=2.0 * math.pi * 6.0e6,
-    gamma_mech=2.0 * math.pi * 100.0,
 )
 
 PRESETS = {MICROWAVE.name: MICROWAVE}
@@ -138,21 +131,3 @@ def load_config_file(path) -> NetworkConfig:
 
     return replace(DEFAULT_CONFIG, **overrides)
 
-
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Dump a matrix as headerless row-major CSV with 17 significant digits."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for row in matrix:
-            handle.write(",".join(format(x, ".17g") for x in row) + "\n")
-
-
-def save_eigenvalues_csv(matrix: np.ndarray, path) -> None:
-    """Dump the eigenvalues of a matrix as a two-column (re, im) CSV,
-    sorted by real part then imaginary part for reproducibility."""
-    eigs = np.linalg.eigvals(np.asarray(matrix, dtype=float))
-    order = np.lexsort((eigs.imag, eigs.real))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("re,im\n")
-        for value in eigs[order]:
-            handle.write(f"{value.real:.17g},{value.imag:.17g}\n")

@@ -36,7 +36,9 @@ class ZeroModesError(ConfigError):
 
 
 class EigenFailureError(EntflowError, RuntimeError):
-    """The dense eigensolver did not converge."""
+    """An eigensolver or Schur decomposition did not converge, or a matrix
+    given to the stability and steady-state solvers has non-finite
+    entries."""
 
 
 class UnstableError(EntflowError, RuntimeError):
@@ -48,7 +50,10 @@ class ResidualTooLargeError(EntflowError, RuntimeError):
 
 
 class SingularSystemError(EntflowError, RuntimeError):
-    """A steady-state linear system is singular (marginal dynamics)."""
+    """A steady-state linear system could not be solved: LAPACK reported a
+    singular triangular Sylvester operator, or the Kronecker system was
+    singular.  Drifts too close to marginal never get that far; they raise
+    UnstableError."""
 
 
 class ComplexEigenvalueError(EntflowError, ValueError):

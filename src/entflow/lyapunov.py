@@ -97,7 +97,6 @@ class StabilityReport:
     spectral_abscissa: float
     stable: bool
     marginal: bool
-    margin_tolerance: float = STABILITY_MARGIN
 
 
 @dataclass(frozen=True)

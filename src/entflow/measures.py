@@ -37,20 +37,6 @@ CERTIFICATE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class TwoModeCovariance:
-    """Reduced two-mode covariance matrix, kept as named 2x2 blocks."""
-
-    block_k: np.ndarray
-    block_m: np.ndarray
-    corr: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Assemble the 4x4 matrix (first mode block top-left)."""
-        return np.block([[self.block_k, self.corr], [self.corr.T, self.block_m]])
-
-
-@dataclass(frozen=True)
 class EntanglementRecord:
     """Smallest PT symplectic eigenvalue and the derived entanglement."""
 
@@ -90,10 +76,10 @@ def reduce_single_mode(v: np.ndarray, k: int) -> np.ndarray:
     return v[2 * k : 2 * k + 2, 2 * k : 2 * k + 2].copy()
 
 
-def reduce_two_mode(v: np.ndarray, k: int, m: int) -> TwoModeCovariance:
-    """The reduced state of modes (k, m), k listed first.
+def reduce_two_mode(v: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The 4x4 covariance matrix of modes (k, m), mode k's block top-left.
 
-    Swapping k and m transposes the correlation block and leaves every
+    Swapping k and m swaps the two modes' blocks and leaves every
     entanglement measure unchanged.
     """
     v = np.asarray(v, dtype=float)
@@ -101,16 +87,11 @@ def reduce_two_mode(v: np.ndarray, k: int, m: int) -> TwoModeCovariance:
         raise ValueError(f"need two distinct modes, got k = m = {k}")
     _check_mode_index(v, k)
     _check_mode_index(v, m)
-    return TwoModeCovariance(
-        block_k=v[2 * k : 2 * k + 2, 2 * k : 2 * k + 2].copy(),
-        block_m=v[2 * m : 2 * m + 2, 2 * m : 2 * m + 2].copy(),
-        corr=v[2 * k : 2 * k + 2, 2 * m : 2 * m + 2].copy(),
-    )
+    modes = [2 * k, 2 * k + 1, 2 * m, 2 * m + 1]
+    return v[np.ix_(modes, modes)]
 
 
 def _two_mode_matrix(tm) -> np.ndarray:
-    if isinstance(tm, TwoModeCovariance):
-        return tm.matrix
     arr = np.asarray(tm, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-mode covariance, got {arr.shape}")
@@ -173,9 +154,10 @@ def ppt_symplectic_min(tm) -> float:
     """Smallest symplectic eigenvalue of the partially transposed two-mode
     state; the state is separable iff this is >= 1/2.
 
-    Accepts a TwoModeCovariance or a plain 4x4 matrix.  The partially
-    transposed state sigma~ of sigma = tm/2 is factored as L L^T, and the
-    value is the smaller singular value of L^T Omega L, in closed form.
+    Takes a 4x4 two-mode covariance matrix, such as ``reduce_two_mode``
+    returns.  The partially transposed state sigma~ of sigma = tm/2 is
+    factored as L L^T, and the value is the smaller singular value of
+    L^T Omega L, in closed form.
 
     Raises ComplexEigenvalueError when sigma~ has no Cholesky factor: it is
     positive definite exactly when sigma is, which every physical state is.

@@ -9,19 +9,21 @@ bath at rate gamma_out.  The source attaches either at the chain head
 (Forward, entanglement can propagate) or at the chain tail (Backward, it
 cannot).
 
-This module validates configurations and builds the three real matrices of
+This module validates configurations and builds the two real matrices of
 the linear quadrature dynamics
 
     d<q>/dt = A <q>,        dV/dt = A V + V A^T + N,
 
-for the quadrature vector q = (x_0, p_0, ..., x_M, p_M).
+the drift A and the diffusion N, for the quadrature vector
+q = (x_0, p_0, ..., x_M, p_M).
 
 Conventions, relied on by every other module:
 
 * quadratures x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2),
   interleaved per node;
-* noise channels ordered distinct baths 0..M first, then common baths
-  (1,2)..(M-1,M), two quadrature columns per bath;
+* every node k has a distinct bath (rate gamma_out, occupation
+  nbar_local[k]), and the chain nodes l and l+1 share the common bath of
+  their cascade link (rate gamma, occupation nbar_common[l-1]);
 * the vacuum covariance matrix is the identity, so a bath at occupation
   nbar enters the diffusion matrix with weight 2*nbar + 1.
 """
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +69,8 @@ class NetworkConfig:
 
     Fields
     ------
-    M : number of chain nodes (the source is node 0 and is not counted)
+    M : number of chain nodes, a whole number (the source is node 0 and
+        is not counted)
     r : squeezing rate of the source mode
     j : source-chain coupling rate
     gamma : common-bath (cascade) decay rate; the internal hoppings are
@@ -110,32 +114,8 @@ class ValidatedNetwork:
     frequency_scale: float = 1.0
 
     @property
-    def n_modes(self) -> int:
-        return self.M + 1
-
-    @property
     def dim(self) -> int:
         return 2 * (self.M + 1)
-
-    @property
-    def n_baths(self) -> int:
-        # M+1 distinct baths plus M-1 common baths
-        return 2 * self.M
-
-    @property
-    def n_noise(self) -> int:
-        return 4 * self.M
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """The three matrices of the quadrature dynamics, plus ordering metadata."""
-
-    drift: np.ndarray
-    input_coupling: np.ndarray
-    noise: np.ndarray
-    quadrature_order: tuple = field(default=())
-    noise_order: tuple = field(default=())
 
 
 def _as_float_array(value, length: int, default: float) -> np.ndarray:
@@ -147,10 +127,21 @@ def _as_float_array(value, length: int, default: float) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _is_integral(value) -> bool:
+    """Whether ``value`` is a whole number: an integer, or a finite real
+    with no fractional part (10.0 and numpy integers count, "3" does not)."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+
+
 def config_violations(cfg: NetworkConfig) -> list:
     """Return every contract violation in ``cfg`` as a list of ConfigError
     instances (empty when the configuration is valid)."""
     problems: list = []
+    if not _is_integral(cfg.M):
+        problems.append(ConfigError(f"M must be an integer, got {cfg.M!r}"))
+        return problems
     if int(cfg.M) < 1:
         problems.append(ZeroModesError(f"M must be >= 1, got {cfg.M}"))
         return problems  # expected lengths are meaningless without M
@@ -226,39 +217,27 @@ def validate_config(cfg: NetworkConfig) -> ValidatedNetwork:
     )
 
 
-def _attached_links(k: int, m: int) -> tuple:
-    """0-based indices of the common baths touching node k, left link first.
+def _node_sums(distinct: np.ndarray, link) -> np.ndarray:
+    """Add to ``distinct`` (one term per node, updated in place and
+    returned) the term of each cascade link a chain node touches:
+    ``link[l]``, or the scalar ``link``, for the link between nodes l+1
+    and l+2.
 
-    Common bath l couples nodes l+1 and l+2 (index l = 0..M-2 for the pair
-    (1,2)..(M-1,M)); the source node 0 touches none.
+    The one accumulation order of both builders: a node's distinct bath,
+    then its left link, then its right link.  The drift's damping and the
+    noise diagonal therefore round alike, and the vacuum identity
+    A + A^T + N = 0 at r = 0 on zero-temperature baths holds bitwise.
     """
-    if k == 0:
-        return ()
-    links = []
-    if k >= 2:
-        links.append(k - 2)
-    if k <= m - 1:
-        links.append(k - 1)
-    return tuple(links)
-
-
-def node_damping(net: ValidatedNetwork, k: int) -> float:
-    """Total decay rate of node k: its distinct bath plus one common-bath
-    contribution per attached cascade link (chain interior nodes have two).
-
-    Accumulated in the same order as the noise-matrix diagonal so the
-    vacuum identity A + A^T + N = 0 cancels bitwise.
-    """
-    total = net.gamma_out
-    for _ in _attached_links(k, net.M):
-        total += net.gamma
-    return total
+    distinct[2:] += link
+    distinct[1:-1] += link
+    return distinct
 
 
 def build_dynamical_matrix(net: ValidatedNetwork) -> np.ndarray:
     """Drift matrix A of the quadrature dynamics, shape 2(M+1) x 2(M+1).
 
-    Diagonal blocks rotate at omega_k and damp at node_damping(k)/2; the
+    Diagonal blocks rotate at omega_k and damp at half the node's total
+    decay rate (its distinct bath and each attached cascade link); the
     source block additionally contains the squeezing term -r*sigma_z.  The
     cascade appears as a one-way subdiagonal -gamma*I2 between consecutive
     chain nodes (matching condition J_l = gamma/2 already folded in), and
@@ -279,11 +258,7 @@ def build_drift_stack(net: ValidatedNetwork, r, j) -> np.ndarray:
     r = np.asarray(r, dtype=float)[:, None, None]
     j = np.asarray(j, dtype=float)[:, None, None]
     m = net.M
-    # node_damping of every node, accumulated in its order: the distinct
-    # bath, then the left and the right cascade link
-    damping = np.full(m + 1, net.gamma_out)
-    damping[2:] += net.gamma
-    damping[1:m] += net.gamma
+    damping = _node_sums(np.full(m + 1, net.gamma_out), net.gamma)
     blocks = -(damping / 2.0)[:, None, None] * I2 + net.omega[:, None, None] * I_SIGMA_Y
     a = np.zeros((r.shape[0], net.dim, net.dim))
     nodes = a.reshape(r.shape[0], m + 1, 2, m + 1, 2)  # nodes[:, k, :, l, :] is block (k, l)
@@ -314,68 +289,22 @@ def source_coupling(net: ValidatedNetwork) -> np.ndarray:
     return c
 
 
-def build_input_matrix(net: ValidatedNetwork) -> np.ndarray:
-    """Input coupling B, shape 2(M+1) x 4M.
-
-    Columns are bath quadrature pairs: distinct baths 0..M first (weight
-    sqrt(gamma_out) on their own node), then common baths (1,2)..(M-1,M)
-    (weight sqrt(gamma) on both attached nodes).
-    """
-    m = net.M
-    b = np.zeros((net.dim, net.n_noise))
-    w_out = math.sqrt(net.gamma_out)
-    for k in range(m + 1):
-        b[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = w_out * I2
-    w_common = math.sqrt(net.gamma)
-    for l in range(1, m):
-        col = 2 * (m + 1) + 2 * (l - 1)
-        b[2 * l : 2 * l + 2, col : col + 2] = w_common * I2
-        b[2 * (l + 1) : 2 * (l + 1) + 2, col : col + 2] = w_common * I2
-    return b
-
-
-def bath_occupations(net: ValidatedNetwork) -> np.ndarray:
-    """Thermal occupation per noise column (each bath contributes two)."""
-    per_bath = np.concatenate([net.nbar_local, net.nbar_common])
-    return np.repeat(per_bath, 2)
-
-
 def build_noise_matrix(net: ValidatedNetwork) -> np.ndarray:
     """Diffusion matrix N: every bath adds its rate times (2 nbar + 1) on
     the blocks of the nodes it touches.
 
-    Mathematically identical to the product form B diag(2 nbar + 1) B^T of
-    the input matrix (tests pin the two to 1e-14), but assembled from the
-    rates directly, in the same accumulation order as node_damping, so the
-    vacuum identity A + A^T + N = 0 at r = 0 holds bitwise and round-off
-    cannot masquerade as squeezing.
+    Mathematically the product form B diag(2 nbar + 1) B^T of the baths'
+    input coupling B (the reference the tests check it against), but
+    assembled from the rates directly, in the drift's accumulation order
+    (``_node_sums``), so the vacuum identity A + A^T + N = 0 at r = 0 holds
+    bitwise and round-off cannot masquerade as squeezing.
     """
     m = net.M
-    # every bath's weight; node k adds its distinct bath, then the common
-    # baths of its left and its right link (node_damping's order)
     common = net.gamma * (2.0 * net.nbar_common + 1.0)
-    total = net.gamma_out * (2.0 * net.nbar_local + 1.0)
-    total[2:] += common
-    total[1:m] += common
+    total = _node_sums(net.gamma_out * (2.0 * net.nbar_local + 1.0), common)
     n = np.zeros((net.dim, net.dim))
     diagonal = np.arange(net.dim)
     n[diagonal, diagonal] = np.repeat(total, 2)
     upper = np.arange(2, 2 * m)  # quadratures of nodes 1..M-1
     n[upper, upper + 2] = n[upper + 2, upper] = np.repeat(common, 2)
     return n
-
-
-def build_system_matrices(net: ValidatedNetwork) -> SystemMatrices:
-    """Build drift, input coupling, and diffusion together with the channel
-    ordering metadata the exporters rely on."""
-    quadratures = tuple(f"{q}{k}" for k in range(net.n_modes) for q in ("x", "p"))
-    baths = tuple(f"distinct:{k}" for k in range(net.n_modes)) + tuple(
-        f"common:{l},{l + 1}" for l in range(1, net.M)
-    )
-    return SystemMatrices(
-        drift=build_dynamical_matrix(net),
-        input_coupling=build_input_matrix(net),
-        noise=build_noise_matrix(net),
-        quadrature_order=quadratures,
-        noise_order=baths,
-    )

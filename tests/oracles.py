@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from entflow import Direction, ValidatedNetwork, node_damping
+from entflow import Direction, ValidatedNetwork
 
 # (x, p)^T = U_MODE (a, a+)^T
 U_MODE = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
@@ -74,6 +74,31 @@ def drift_oracle(net: ValidatedNetwork) -> np.ndarray:
     return quad.real
 
 
+def input_matrix(net: ValidatedNetwork) -> np.ndarray:
+    """Input coupling B of the baths, shape 2(M+1) x 4M.
+
+    Columns are bath quadrature pairs: distinct baths 0..M first (weight
+    sqrt(gamma_out) on their own node), then common baths (1,2)..(M-1,M)
+    (weight sqrt(gamma) on both attached nodes).
+    """
+    m = net.M
+    b = np.zeros((net.dim, 4 * m))
+    w_out = math.sqrt(net.gamma_out)
+    for k in range(m + 1):
+        b[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = w_out * np.eye(2)
+    w_common = math.sqrt(net.gamma)
+    for l in range(1, m):
+        col = 2 * (m + 1) + 2 * (l - 1)
+        b[2 * l : 2 * l + 2, col : col + 2] = w_common * np.eye(2)
+        b[2 * (l + 1) : 2 * (l + 1) + 2, col : col + 2] = w_common * np.eye(2)
+    return b
+
+
+def bath_occupations(net: ValidatedNetwork) -> np.ndarray:
+    """Thermal occupation per column of ``input_matrix`` (each bath has two)."""
+    return np.repeat(np.concatenate([net.nbar_local, net.nbar_common]), 2)
+
+
 def noise_element_formula(b: np.ndarray, occupations: np.ndarray) -> np.ndarray:
     """Diffusion matrix from the symmetrized per-element sum over channels."""
     dim, n_noise = b.shape
@@ -100,7 +125,12 @@ def drift_stack_per_node(net: ValidatedNetwork, r, j) -> np.ndarray:
     m = net.M
     a = np.zeros((r.shape[0], net.dim, net.dim))
     for k in range(m + 1):
-        block = -(node_damping(net, k) / 2.0) * i2 + net.omega[k] * i_sigma_y
+        # the distinct bath, then one common bath per attached link: the
+        # left link (k-1, k) for k >= 2, the right one for k <= M-1
+        damping = net.gamma_out
+        for _ in range((k >= 2) + (1 <= k <= m - 1)):
+            damping += net.gamma
+        block = -(damping / 2.0) * i2 + net.omega[k] * i_sigma_y
         if k == 0:
             block = block - r * sigma_z
         a[:, 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block

@@ -335,6 +335,33 @@ def test_figure_manifest_failing_midway_leaves_nothing(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_figure_failed_rerun_removes_the_earlier_manifest(tmp_path, capsys):
+    # a good run, then a rerun that opens the CSV and fails on the manifest:
+    # the earlier manifest must not stay behind to name a CSV that is gone
+    out = tmp_path / "x.csv"
+    argv = ("figure", "depth", "--grid", "2x2", "--out", str(out))
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    (tmp_path / "x.csv.manifest.json.tmp").mkdir()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_IO
+    assert "i/o" in err.lower()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["x.csv.manifest.json.tmp"]
+
+
+def test_figure_rejected_rerun_leaves_earlier_files_alone(tmp_path, capsys):
+    # rejected before the CSV is opened: the earlier CSV and manifest stay
+    out = tmp_path / "x.csv"
+    manifest = tmp_path / "x.csv.manifest.json"
+    assert run_cli(capsys, "figure", "depth", "--grid", "2x2", "--out", str(out))[0] == EXIT_OK
+    before = out.read_bytes(), manifest.read_bytes()
+    code, _, err = run_cli(
+        capsys, "figure", "depth", "--grid", "2x2", "--direction", "backward", "--out", str(out)
+    )
+    assert code == EXIT_CONFIG
+    assert "forward direction" in err
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+
+
 # ---------------------------------------------------------------------------
 # selftest and plumbing
 

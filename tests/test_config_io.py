@@ -1,10 +1,8 @@
-"""Config-file parsing, physical presets, and matrix CSV dumps."""
+"""Config-file parsing and physical presets."""
 
 import math
 
-import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from entflow import (
     DEFAULT_CONFIG,
@@ -13,8 +11,6 @@ from entflow import (
     MICROWAVE,
     PRESETS,
     load_config_file,
-    save_eigenvalues_csv,
-    save_matrix_csv,
 )
 
 
@@ -97,30 +93,6 @@ def test_missing_file_is_a_config_error(tmp_path):
 
 def test_microwave_preset():
     assert PRESETS["microwave"] is MICROWAVE
+    assert MICROWAVE.name == "microwave"
     assert MICROWAVE.omega_cavity == pytest.approx(2.0 * math.pi * 5.0e9)
-    assert MICROWAVE.kappa == pytest.approx(2.0 * math.pi * 2.0e6)
-    assert MICROWAVE.omega_mech == pytest.approx(2.0 * math.pi * 6.0e6)
-    assert MICROWAVE.gamma_mech == pytest.approx(2.0 * math.pi * 100.0)
 
-
-def test_save_matrix_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    matrix = rng.normal(size=(3, 4))
-    path = tmp_path / "matrix.csv"
-    save_matrix_csv(matrix, path)
-    text = path.read_text(encoding="utf-8")
-    assert "\r" not in text
-    parsed = np.array(
-        [[float(cell) for cell in line.split(",")] for line in text.splitlines()]
-    )
-    assert np.array_equal(parsed, matrix)
-
-
-def test_save_eigenvalues_csv_sorted(tmp_path):
-    matrix = np.diag([3.0, -1.0, 2.0])
-    path = tmp_path / "eigs.csv"
-    save_eigenvalues_csv(matrix, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "re,im"
-    reals = [float(line.split(",")[0]) for line in lines[1:]]
-    assert reals == sorted(reals) == [-1.0, 2.0, 3.0]

@@ -15,7 +15,6 @@ from entflow import (
     Direction,
     NetworkConfig,
     NonpositiveOccupationError,
-    TwoModeCovariance,
     build_dynamical_matrix,
     build_noise_matrix,
     certify_physicality,
@@ -77,14 +76,18 @@ def test_reduce_two_mode_blocks_and_swap():
     big[6:8, 2:4] = v[0:2, 2:4].T
 
     tm = reduce_two_mode(big, 1, 3)
-    assert_allclose(tm.matrix, v)
+    assert tm.shape == (4, 4)
+    assert_allclose(tm, v)
     swapped = reduce_two_mode(big, 3, 1)
-    assert_allclose(swapped.block_k, tm.block_m)
-    assert_allclose(swapped.corr, tm.corr.T)
+    assert np.array_equal(swapped[0:2, 0:2], tm[2:4, 2:4])
+    assert np.array_equal(swapped[0:2, 2:4], tm[2:4, 0:2])
     # entanglement does not care which mode is listed first
     assert ppt_symplectic_min(swapped) == pytest.approx(
         ppt_symplectic_min(tm), abs=1e-12
     )
+    # a copy, not a view: changing it leaves the full state alone
+    tm[0, 0] = -1.0
+    assert big[2, 2] == v[0, 0]
     with pytest.raises(ValueError):
         reduce_two_mode(big, 2, 2)
     with pytest.raises(IndexError):
@@ -92,11 +95,12 @@ def test_reduce_two_mode_blocks_and_swap():
 
 
 def test_two_mode_matrix_is_symmetric():
-    tm = TwoModeCovariance(
-        block_k=np.eye(2), block_m=2.0 * np.eye(2), corr=np.array([[0.0, 1.0], [2.0, 0.0]])
-    )
-    assert_allclose(tm.matrix, tm.matrix.T)
-    assert tm.matrix.shape == (4, 4)
+    v = steady_state(r=0.1, j=0.5)
+    tm = reduce_two_mode(v, 0, 2)
+    assert tm.shape == (4, 4)
+    assert np.array_equal(tm, tm.T)
+    # the 4x4 matrix is what the measures take
+    assert log_negativity(tm).log_negativity > 0.0
 
 
 # ---------------------------------------------------------------------------

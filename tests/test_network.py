@@ -1,5 +1,5 @@
-"""Configuration validation and construction of the drift, input coupling,
-and diffusion matrices."""
+"""Configuration validation and construction of the drift and diffusion
+matrices."""
 
 import numpy as np
 import pytest
@@ -15,14 +15,10 @@ from entflow import (
     NegativeRateError,
     NetworkConfig,
     ZeroModesError,
-    bath_occupations,
     build_drift_stack,
     build_dynamical_matrix,
-    build_input_matrix,
     build_noise_matrix,
-    build_system_matrices,
     config_violations,
-    node_damping,
     validate_config,
 )
 
@@ -42,9 +38,6 @@ def test_defaults_are_valid():
     assert net.gamma_out == 0.002
     assert net.direction is Direction.FORWARD
     assert net.dim == 22
-    assert net.n_modes == 11
-    assert net.n_baths == 20
-    assert net.n_noise == 40
     assert_allclose(net.omega, np.ones(11))
     assert_allclose(net.nbar_local, np.zeros(11))
     assert_allclose(net.nbar_common, np.zeros(9))
@@ -58,6 +51,22 @@ def test_zero_modes_rejected():
     # size problem is reported alone
     assert len(problems) == 1
     assert isinstance(problems[0], ZeroModesError)
+
+
+@pytest.mark.parametrize("m", [2.5, "3", np.nan, np.inf, None])
+def test_non_integral_node_count_rejected(m):
+    problems = config_violations(replace(DEFAULT_CONFIG, M=m))
+    assert len(problems) == 1
+    assert type(problems[0]) is ConfigError
+    assert "M must be an integer" in str(problems[0])
+    with pytest.raises(ConfigError):
+        validate_config(replace(DEFAULT_CONFIG, M=m))
+
+
+@pytest.mark.parametrize("m", [10, np.int64(10), 10.0, np.float64(10.0)])
+def test_integral_node_count_accepted(m):
+    assert config_violations(replace(DEFAULT_CONFIG, M=m)) == []
+    assert validate_config(replace(DEFAULT_CONFIG, M=m)).M == 10
 
 
 @pytest.mark.parametrize("field", ["r", "j", "gamma", "gamma_out"])
@@ -180,12 +189,12 @@ def test_drift_backward_couples_tail():
 
 
 def test_node_damping_accumulates_attached_baths():
-    net = make_net(M=4)
-    assert node_damping(net, 0) == pytest.approx(0.002)
-    assert node_damping(net, 1) == pytest.approx(0.802)
-    assert node_damping(net, 2) == pytest.approx(1.602)
-    assert node_damping(net, 3) == pytest.approx(1.602)
-    assert node_damping(net, 4) == pytest.approx(0.802)
+    # each diagonal block damps at half its node's distinct bath plus one
+    # common bath per attached cascade link
+    a = build_dynamical_matrix(make_net(M=4))
+    damping = -2.0 * np.diagonal(a)[0::2]
+    assert_allclose(damping, [0.002, 0.802, 1.602, 1.602, 0.802], rtol=1e-15)
+    assert_allclose(np.diagonal(a)[1::2], np.diagonal(a)[0::2])
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -219,7 +228,7 @@ def test_drift_matches_mode_basis_construction(direction, overrides):
 
 def test_input_matrix_column_energy():
     net = make_net(M=5)
-    b = build_input_matrix(net)
+    b = oracles.input_matrix(net)
     assert b.shape == (12, 20)
     col_energy = (b * b).sum(axis=0)
     # distinct baths (one node each) then common baths (two nodes each)
@@ -229,7 +238,7 @@ def test_input_matrix_column_energy():
 
 def test_bath_occupation_ordering():
     net = make_net(M=3, nbar_local=(0.1, 0.2, 0.3, 0.4), nbar_common=(0.5, 0.6))
-    occ = bath_occupations(net)
+    occ = oracles.bath_occupations(net)
     assert_allclose(occ, np.repeat([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 2))
 
 
@@ -244,8 +253,8 @@ def test_bath_occupation_ordering():
 )
 def test_noise_matches_product_form(overrides):
     net = make_net(**overrides)
-    b = build_input_matrix(net)
-    occ = bath_occupations(net)
+    b = oracles.input_matrix(net)
+    occ = oracles.bath_occupations(net)
     product = b @ np.diag(2.0 * occ + 1.0) @ b.T
     assert_allclose(build_noise_matrix(net), product, atol=1e-14)
 
@@ -253,7 +262,7 @@ def test_noise_matches_product_form(overrides):
 def test_noise_matches_element_formula():
     net = make_net(M=4, nbar_local=0.2, nbar_common=(0.1, 0.3, 0.0))
     element = oracles.noise_element_formula(
-        build_input_matrix(net), bath_occupations(net)
+        oracles.input_matrix(net), oracles.bath_occupations(net)
     )
     assert_allclose(build_noise_matrix(net), element, atol=1e-14)
 
@@ -306,19 +315,3 @@ def test_assembly_is_bitwise_the_per_node_construction(m, direction, warm):
         a = drifts[0]
         assert np.all(a + a.T + noise == 0.0)
 
-
-def test_system_matrices_bundle():
-    net = make_net(M=3)
-    sm = build_system_matrices(net)
-    assert_allclose(sm.drift, build_dynamical_matrix(net))
-    assert_allclose(sm.input_coupling, build_input_matrix(net))
-    assert_allclose(sm.noise, build_noise_matrix(net))
-    assert sm.quadrature_order == ("x0", "p0", "x1", "p1", "x2", "p2", "x3", "p3")
-    assert sm.noise_order == (
-        "distinct:0",
-        "distinct:1",
-        "distinct:2",
-        "distinct:3",
-        "common:1,2",
-        "common:2,3",
-    )

@@ -19,9 +19,7 @@ from entflow import (
     Direction,
     ResidualTooLargeError,
     SweepGrid,
-    bath_occupations,
     build_dynamical_matrix,
-    build_input_matrix,
     build_noise_matrix,
     certify_physicality,
     export_csv,
@@ -375,7 +373,7 @@ def test_sweep_matches_independent_oracles(m, direction, warm):
             n_stable += 1
             if noise is None:
                 noise = oracles.noise_element_formula(
-                    build_input_matrix(net), bath_occupations(net)
+                    oracles.input_matrix(net), oracles.bath_occupations(net)
                 )
             assert certify_physicality(a, noise)
             v = oracles.lyapunov_bartels_stewart(a, noise)

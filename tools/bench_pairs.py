@@ -17,21 +17,32 @@ min / quartiles / median / max, and how many pairs the change won (ties
 count for neither side); per side, whether every run was correct and its
 failed / attempted operations.  It also records the seed, both revisions
 with their ``src`` trees, and each side's ``environment`` line.
+
+Beside the workloads, as a record that no bound applies to, ``figure``
+holds the same summary of each side's default 101x101
+``entflow figure nonreciprocity``, run once per side in every pair, after
+the pair's workloads and in the pair's order: the whole process's wall
+time, interpreter start and import included, and its peak RSS from
+``os.wait4``, with one BLAS thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+FIGURE = ("figure", "nonreciprocity")
+FIGURE_METRICS = {"wall_s": "s", "peak_rss_mb": "MB"}
 
 
 def _git(*args) -> str:
@@ -60,6 +71,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"environment": json.loads(env.split(" ", 1)[1]), **json.loads(lines[-1])}
 
 
+def run_figure(checkout: Path) -> dict:
+    """Wall time and peak RSS of one ``entflow FIGURE`` process of
+    ``checkout``, run in a temporary directory that takes its output."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(dir=checkout) as cwd:
+        log = Path(cwd) / "stderr"
+        with open(log, "wb") as stderr:
+            start = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "entflow.cli", *FIGURE], cwd=cwd,
+                                    env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args,
+                                                stderr=log.read_text())
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
 def _quartiles(values) -> tuple:
     if len(values) < 2:
         return values[0], values[0]
@@ -77,6 +108,16 @@ def summarize(parent: list, change: list, better: str) -> dict:
                      "median": statistics.median(values), "q3": q3, "max": max(values)}
     out["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     out["pairs"] = len(parent)
+    return out
+
+
+def figure_record(runs: dict) -> dict:
+    """Per metric of ``run_figure``, the pair summary of both sides' runs
+    (``runs[side]`` lists one ``run_figure`` result per pair)."""
+    out = {"command": ["entflow", *FIGURE]}
+    for name, unit in FIGURE_METRICS.items():
+        values = [[r[name] for r in runs[side]] for side in SIDES]
+        out[name] = {"unit": unit, **summarize(*values, "lower")}
     return out
 
 
@@ -98,6 +139,7 @@ def main(argv=None) -> int:
     try:
         dirs = {side: export(rev, work / side) for side, rev in revs.items()}
         runs = {w: {side: [] for side in SIDES} for w in workloads}
+        figure_runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for w in workloads:
@@ -106,6 +148,10 @@ def main(argv=None) -> int:
                     runs[w][side].append(result)
                     print(f"pair {i} {w} {side} {json.dumps(result['metrics'])}",
                           file=sys.stderr)
+            for side in order:
+                figure_runs[side].append(run_figure(dirs[side]))
+                print(f"pair {i} figure {side} {json.dumps(figure_runs[side][-1])}",
+                      file=sys.stderr)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -129,6 +175,7 @@ def main(argv=None) -> int:
             values = [[r["metrics"][name]["value"] for r in runs[w][side]] for side in SIDES]
             entry[name] = {"unit": metric["unit"], **summarize(*values, metric["better"])}
         out["workloads"][w] = entry
+    out["figure"] = figure_record(figure_runs)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
