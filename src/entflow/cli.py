@@ -3,7 +3,7 @@ run the built-in selftest fixtures.
 
 Exit codes: 0 success (an unstable operating point is a finding, not an
 error), 1 selftest failure, 2 configuration error, 3 solver failure, 4 I/O
-failure while exporting.
+failure.  ``main`` alone turns a raised error into its exit code.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .network import (
     config_violations,
     validate_config,
 )
-from .sweep import FIGURE_NAMES, export_csv, run_point
+from .sweep import FIGURE_NAMES, export_csv, probe_nodes, run_point
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -73,11 +73,7 @@ def _report_config_problems(cfg) -> bool:
 
 
 def cmd_point(args) -> int:
-    try:
-        cfg = _load_base_config(args)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_base_config(args)
     if _report_config_problems(cfg):
         return EXIT_CONFIG
     net = validate_config(cfg)
@@ -94,10 +90,10 @@ def cmd_point(args) -> int:
     if result.solver_error:
         print(f"solver_error={result.solver_error}", file=sys.stderr)
         return EXIT_SOLVER
-    if result.en_forward_pair is not None:
-        print(f"log_negativity_0_2={_fmt(result.en_forward_pair)}")
-    if result.en_backward_pair is not None:
-        print(f"log_negativity_0_{net.M - 1}={_fmt(result.en_backward_pair)}")
+    for field, node in probe_nodes(net.M).items():
+        value = getattr(result, field)
+        if value is not None:
+            print(f"log_negativity_0_{node}={_fmt(value)}")
     if result.m_max is not None:
         print(f"m_max={result.m_max}")
     if result.nbar_at_mmax is not None:
@@ -154,7 +150,7 @@ def _config_as_json(cfg) -> dict:
         return [float(x) for x in np.atleast_1d(value)]
 
     return {
-        "M": cfg.M,
+        "M": int(cfg.M),  # a config file reads M = 10 as 10.0
         "r": cfg.r,
         "j": cfg.j,
         "gamma": cfg.gamma,
@@ -203,13 +199,9 @@ def _write_manifest(path: Path, manifest: dict, table: Path) -> None:
 
 
 def cmd_figure(args) -> int:
-    try:
-        cfg = _load_base_config(args)
-        n_r, n_j = _parse_grid(args.grid)
-        (r_lo, r_hi), (j_lo, j_hi) = _parse_range(args.value_range)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_base_config(args)
+    n_r, n_j = _parse_grid(args.grid)
+    (r_lo, r_hi), (j_lo, j_hi) = _parse_range(args.value_range)
     if _report_config_problems(cfg):
         return EXIT_CONFIG
 
@@ -219,36 +211,29 @@ def cmd_figure(args) -> int:
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
     manifest_path = out.with_name(out.name + ".manifest.json")
     try:
-        try:
-            digest, rows, sweeps = export_csv(args.name, cfg, r_values, j_values, out, direction)
-            manifest = {
-                "version": __version__,
-                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                "figure": args.name,
-                "config": _config_as_json(cfg),
-                "directions": list(sweeps),
-                "grid": {
-                    "r_values": [float(v) for v in r_values],
-                    "j_values": [float(v) for v in j_values],
-                },
-                "sweeps": sweeps,
-                "outputs": {out.name: digest},
-                "environment": _environment(),
-            }
-            _write_manifest(manifest_path, manifest, out)
-        except BaseException:
-            # a failure that leaves no table (it removed the one it opened)
-            # removes an earlier run's manifest too; a run rejected before
-            # opening the table leaves an earlier table and manifest alone
-            if not out.exists() and manifest_path.is_file():
-                manifest_path.unlink()
-            raise
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+        digest, rows, sweeps = export_csv(args.name, cfg, r_values, j_values, out, direction)
+        manifest = {
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "figure": args.name,
+            "config": _config_as_json(cfg),
+            "directions": list(sweeps),
+            "grid": {
+                "r_values": [float(v) for v in r_values],
+                "j_values": [float(v) for v in j_values],
+            },
+            "sweeps": sweeps,
+            "outputs": {out.name: digest},
+            "environment": _environment(),
+        }
+        _write_manifest(manifest_path, manifest, out)
+    except BaseException:
+        # a failure that leaves no table (it removed the one it opened)
+        # removes an earlier run's manifest too; a run rejected before
+        # opening the table leaves an earlier table and manifest alone
+        if not out.exists() and manifest_path.is_file():
+            manifest_path.unlink()
+        raise
 
     print(f"wrote {out} ({rows} rows)")
     print(f"wrote {manifest_path}")
@@ -396,9 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where an error becomes an exit
+    code."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
     except EntflowError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -56,14 +56,6 @@ MICROWAVE = PhysicalPreset(
 PRESETS = {MICROWAVE.name: MICROWAVE}
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_float_list(text: str):
     tokens = [tok.strip() for tok in text.split(",")]
     values = tuple(float(tok) for tok in tokens if tok)
@@ -84,11 +76,12 @@ def _parse_direction(text: str) -> Direction:
 
 
 _PARSERS = {
-    "M": _parse_int,
-    "r": _parse_float,
-    "j": _parse_float,
-    "gamma": _parse_float,
-    "gamma_out": _parse_float,
+    # M is read as a number too: whether it is whole is config_violations' call
+    "M": float,
+    "r": float,
+    "j": float,
+    "gamma": float,
+    "gamma_out": float,
     "omega": _parse_float_list,
     "nbar_local": _parse_float_list,
     "nbar_common": _parse_float_list,

@@ -312,12 +312,15 @@ def effective_temperature(nbar: float, omega_phys: float) -> float:
 
         T = hbar omega / (k_B ln(1 + 1/nbar)).
     """
-    if nbar <= 0:
+    # written so that NaN fails each test
+    if not nbar > 0:
         raise NonpositiveOccupationError(
             f"effective temperature requires nbar > 0, got {nbar}"
         )
-    if omega_phys <= 0:
-        raise ValueError(f"omega_phys must be > 0, got {omega_phys}")
+    if not nbar < math.inf:
+        raise ValueError(f"effective temperature requires a finite nbar, got {nbar}")
+    if not 0 < omega_phys < math.inf:
+        raise ValueError(f"omega_phys must be finite and > 0, got {omega_phys}")
     return scipy.constants.hbar * omega_phys / (
         scipy.constants.k * math.log1p(1.0 / nbar)
     )

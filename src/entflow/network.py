@@ -129,7 +129,10 @@ def _as_float_array(value, length: int, default: float) -> np.ndarray:
 
 def _is_integral(value) -> bool:
     """Whether ``value`` is a whole number: an integer, or a finite real
-    with no fractional part (10.0 and numpy integers count, "3" does not)."""
+    with no fractional part (10.0 and numpy integers count; "3" and
+    booleans do not)."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     return isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     )
@@ -142,8 +145,9 @@ def config_violations(cfg: NetworkConfig) -> list:
     if not _is_integral(cfg.M):
         problems.append(ConfigError(f"M must be an integer, got {cfg.M!r}"))
         return problems
-    if int(cfg.M) < 1:
-        problems.append(ZeroModesError(f"M must be >= 1, got {cfg.M}"))
+    m = int(cfg.M)
+    if m < 1:
+        problems.append(ZeroModesError(f"M must be >= 1, got {m}"))
         return problems  # expected lengths are meaningless without M
 
     for name in ("r", "j", "gamma", "gamma_out"):
@@ -153,7 +157,6 @@ def config_violations(cfg: NetworkConfig) -> list:
         elif value < 0:
             problems.append(NegativeRateError(f"{name} must be >= 0, got {value}"))
 
-    m = int(cfg.M)
     for name, expected, kind in (
         ("omega", m + 1, "frequency"),
         ("nbar_local", m + 1, "occupation"),

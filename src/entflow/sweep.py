@@ -33,9 +33,11 @@ A figure cell is empty when its point is unstable, or when the point's
 solve or the quantity the figure writes failed; a pair the figure does not
 write is never evaluated, so its failure blanks nothing.  ``sweep_grid``
 asks for every field and keeps one PointResult per point, whose
-``solver_error`` is the first failure of any of them; ``run_point`` is its
-one-row view, under the same plan, and a point's result never depends on
-the batch it was computed in.
+``solver_error`` is the first failure of any of them; ``run_point`` is the
+one-point sweep, through the same setup and plan, and a point's result
+never depends on the batch it was computed in.  Each slice builds its own
+drift stack and frees it right after the solve, so the measures never
+hold it, on every supported Python.
 
 Everything here is deterministic: no randomness, no timestamps.
 """
@@ -70,7 +72,8 @@ ENTANGLEMENT_THRESHOLD = 1e-10
 # most _STACKS_PER_POINT (2M+2)x(2M+2) matrices of 8-byte entries at once:
 # in the solve, the block form and the right-hand side (in the drifts'
 # memory) plus temporaries made a part of the stack at a time; in the
-# measures, the solved states and the pair kernel's 4x4 stacks.  A full
+# measures, the solved states and the pair kernel's 4x4 stacks.  The slice
+# owns its drift stack and frees it before the measures.  A full
 # slice peaks at 2.7 such matrices per point at M = 10 and 2.6 at M = 30
 # (tracemalloc).  An 11x11 grid at M = 10 is one slice; from M = 104 on, a
 # slice is a single point.
@@ -197,33 +200,23 @@ def _deepest(en: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(above.any(axis=1), depth, 0)
 
 
-def _grid_plan(net: ValidatedNetwork, drift: np.ndarray) -> BlockPlan:
-    """One block plan for the drifts of ``net`` at every (r, j), from its
-    drift ``drift`` at any one of them.
-
-    Only the source's rows and columns depend on (r, j).  With the source
-    coupling in it, the pattern contains every grid point's (j = 0 only
-    removes that coupling, and r acts on the diagonal), so it is block
-    triangular for all of them, and j = 0 points share the plan of the rest.
-    """
-    return block_plan(drift + source_coupling(net))
-
-
 POINT_FIELDS = tuple(field.name for field in fields(PointResult))
 _DEPTH_FIELDS = ("m_max", "nbar_at_mmax")
 
 
+def probe_nodes(m: int) -> dict:
+    """The probe node of each source-pair PointResult field of an m-node
+    chain: node 2 for ``en_forward_pair`` and node m-1 for
+    ``en_backward_pair``; no pair when m < 2."""
+    return {"en_forward_pair": 2, "en_backward_pair": m - 1} if m >= 2 else {}
+
+
 def _source_pairs(net: ValidatedNetwork, wanted, depth: bool) -> tuple:
     """The chain nodes m whose source pair (0, m) the PointResult fields
-    ``wanted`` need, ascending: every node for the depth scan, node 2 for
-    ``en_forward_pair`` and node M-1 for ``en_backward_pair`` (both only
-    when M >= 2)."""
+    ``wanted`` need, ascending: every node for the depth scan, and the
+    probe node of each wanted pair field (``probe_nodes``)."""
     nodes = set(range(1, net.M + 1)) if depth else set()
-    if net.M >= 2:
-        if "en_forward_pair" in wanted:
-            nodes.add(2)
-        if "en_backward_pair" in wanted:
-            nodes.add(net.M - 1)
+    nodes.update(node for field, node in probe_nodes(net.M).items() if field in wanted)
     return tuple(sorted(nodes))
 
 
@@ -285,16 +278,14 @@ def _columns(
     net: ValidatedNetwork,
     r: np.ndarray,
     j: np.ndarray,
-    drifts: np.ndarray,
     noise: np.ndarray,
     certified: bool,
     plan: BlockPlan,
     wanted,
 ) -> SweepColumns:
-    """SweepColumns of ``net`` at the points (r[b], j[b]), with drifts
-    ``drifts[b]`` and diffusion ``noise``, in one batch under the block
-    plan ``plan``, computing the optional PointResult fields in ``wanted``
-    only.  The solve overwrites ``drifts``.
+    """SweepColumns of ``net`` at the points (r[b], j[b]), with diffusion
+    ``noise``, in one batch under the block plan ``plan``, computing the
+    optional PointResult fields in ``wanted`` only.
 
     ``certified`` is ``certify_physicality`` of the network, the
     ``physical`` flag of every stable, solved point.  Unstable dynamics is a
@@ -305,9 +296,11 @@ def _columns(
     ``wanted`` needs are evaluated, so a failure in any other pair goes
     unseen.
     """
+    drifts = build_drift_stack(net, r, j)
     abscissa, states, errors = solve_steady_states(drifts, noise, plan, overwrite_a=True)
-    # drop the solve's scratch and, below, the unsolved states, so that the
-    # measures hold only the solved states and the pair kernel
+    # drop the solve's scratch (in the drifts' memory) and, below, the
+    # unsolved states, so that the measures hold only the solved states and
+    # the pair kernel
     del drifts
     solved = [b for b, error in enumerate(errors) if error is None]
     v = states[solved]
@@ -325,8 +318,8 @@ def _columns(
         return full
 
     values = {}
-    for field, node in (("en_forward_pair", 2), ("en_backward_pair", net.M - 1)):
-        if field in wanted and node in nodes:
+    for field, node in probe_nodes(net.M).items():
+        if field in wanted:
             values[field] = at_every_point(en[:, nodes.index(node)])
     if depth:
         m_max = _deepest(en, ENTANGLEMENT_THRESHOLD)
@@ -363,7 +356,12 @@ def _slices(net: ValidatedNetwork, r_values: np.ndarray, j_values: np.ndarray, w
     noise = build_noise_matrix(net)
     drift = build_dynamical_matrix(net)
     certified = certify_physicality(drift, noise)
-    plan = _grid_plan(net, drift)
+    # Only the source's rows and columns depend on (r, j).  With the source
+    # coupling in it, the pattern contains every grid point's (j = 0 only
+    # removes that coupling, and r acts on the diagonal), so one plan is
+    # block triangular for all of them, and j = 0 points share the plan of
+    # the rest.
+    plan = block_plan(drift + source_coupling(net))
     del drift
     step = max(1, _BATCH_BYTES // (_STACKS_PER_POINT * 8 * net.dim * net.dim))
     n_j = j_values.size
@@ -371,27 +369,19 @@ def _slices(net: ValidatedNetwork, r_values: np.ndarray, j_values: np.ndarray, w
     for lo in range(0, size, step):
         index = np.arange(lo, min(lo + step, size))
         r, j = r_values[index // n_j], j_values[index % n_j]
-        # the drifts are passed as a temporary, so the solve's scratch in
-        # their memory is freed before the measures run
-        yield _columns(
-            net, r, j, build_drift_stack(net, r, j), noise, certified, plan, wanted
-        )
+        yield _columns(net, r, j, noise, certified, plan, wanted)
 
 
 def run_point(net: ValidatedNetwork) -> PointResult:
-    """Solve one operating point and summarize it: the one-row view of the
-    sweep engine, under the block plan a sweep of ``net`` would use.
+    """Solve one operating point and summarize it: the one-point sweep of
+    ``net``, under the block plan a sweep of ``net`` would use.
 
     Unstable dynamics is a finding, not an error: the point comes back with
     stable = False and no steady-state fields.  Solver failures on stable
     points are captured in ``solver_error`` instead of propagating.
     """
-    r, j = np.array([net.r]), np.array([net.j])
-    drifts = build_drift_stack(net, r, j)
-    noise = build_noise_matrix(net)
-    certified = certify_physicality(drifts[0], noise)
-    plan = _grid_plan(net, drifts[0])
-    return _columns(net, r, j, drifts, noise, certified, plan, POINT_FIELDS).results()[0]
+    (columns,) = _slices(net, np.array([net.r]), np.array([net.j]), POINT_FIELDS)
+    return columns.results()[0]
 
 
 def sweep_columns(

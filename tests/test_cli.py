@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 import entflow
-from entflow import solve_steady_states
+from entflow import ConfigError, UnstableError, solve_steady_states
 from entflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -140,6 +140,28 @@ def test_point_non_finite_config_file_exits_2(tmp_path, capsys, line):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "finite" in err
+
+
+def test_point_whole_number_float_m_is_the_integer_chain(tmp_path, capsys):
+    # the config file leaves whether M is whole to config_violations, as
+    # NetworkConfig does, so M = 10.0 is the 10-node chain
+    reports = []
+    for m in ("10", "10.0"):
+        path = tmp_path / "net.cfg"
+        path.write_text(f"M = {m}\nr = 0.1\nj = 0.5\n", encoding="utf-8")
+        reports.append(run_cli(capsys, "point", "--config", str(path)))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == EXIT_OK
+    assert reports[0][1].startswith("M=10 ")
+
+
+def test_point_fractional_m_in_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "net.cfg"
+    path.write_text("M = 2.5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "point", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "M must be an integer" in err
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +343,15 @@ def test_figure_unwritable_manifest_exits_4_and_leaves_nothing(tmp_path, capsys)
     assert not any((tmp_path / "x.csv.manifest.json").iterdir())
 
 
+def test_manifest_writes_a_whole_number_m_as_an_integer(tmp_path, capsys):
+    config = tmp_path / "net.cfg"
+    config.write_text("M = 3.0\n", encoding="utf-8")
+    out, argv = figure_args(tmp_path, "depth", "--config", str(config))
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    text = (tmp_path / "depth.csv.manifest.json").read_text()
+    assert '"M": 3,' in text
+
+
 def test_figure_manifest_failing_midway_leaves_nothing(tmp_path, capsys, monkeypatch):
     def failing(manifest, handle, **kwargs):
         handle.write('{"version": ')
@@ -392,6 +423,28 @@ def test_exit_code_constants():
         3,
         4,
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [("point",), ("figure", "depth"), ("selftest",)], ids=lambda argv: argv[0]
+)
+@pytest.mark.parametrize(
+    "error,code,message",
+    [
+        (ConfigError("bad value"), EXIT_CONFIG, "bad value\n"),
+        (OSError("disk gone"), EXIT_IO, "i/o failure: disk gone\n"),
+        (UnstableError("no steady state"), EXIT_SOLVER, "UnstableError: no steady state\n"),
+    ],
+    ids=["config", "io", "solver"],
+)
+def test_main_maps_every_command_s_errors_to_exit_codes(
+    capsys, monkeypatch, argv, error, code, message
+):
+    def handler(_args):
+        raise error
+
+    monkeypatch.setattr(f"entflow.cli.cmd_{argv[0]}", handler)
+    assert run_cli(capsys, *argv) == (code, "", message)
 
 
 def test_console_entry_point_runs():

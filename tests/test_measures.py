@@ -367,3 +367,13 @@ def test_effective_temperature_domain_errors():
         effective_temperature(-0.5, 1e9)
     with pytest.raises(ValueError):
         effective_temperature(0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "nbar,omega", [(math.nan, 1e9), (math.inf, 1e9), (0.1, math.nan), (0.1, math.inf)]
+)
+def test_effective_temperature_rejects_non_finite_inputs(nbar, omega):
+    # NaN and infinity fail the domain checks instead of coming back as a
+    # NaN or infinite temperature, or a ZeroDivisionError
+    with pytest.raises(ValueError):
+        effective_temperature(nbar, omega)

@@ -53,7 +53,7 @@ def test_zero_modes_rejected():
     assert isinstance(problems[0], ZeroModesError)
 
 
-@pytest.mark.parametrize("m", [2.5, "3", np.nan, np.inf, None])
+@pytest.mark.parametrize("m", [2.5, "3", np.nan, np.inf, None, True, np.True_])
 def test_non_integral_node_count_rejected(m):
     problems = config_violations(replace(DEFAULT_CONFIG, M=m))
     assert len(problems) == 1

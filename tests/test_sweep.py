@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from entflow import (
     run_point,
     solve_steady_state_spectral,
     solve_steady_states,
+    sweep_columns,
     sweep_grid,
     validate_config,
 )
@@ -267,6 +269,28 @@ def test_block_plan_is_built_once_per_sweep(monkeypatch):
     assert len(plans) == 1
     run_point(make_net(r=0.1, j=0.0))
     assert len(plans) == 2
+
+
+@pytest.mark.parametrize("m,points", [(10, 180), (30, 22)])
+def test_a_full_slice_stays_within_its_working_set(m, points):
+    # the budget the slices are cut by: one full slice of a warm chain, every
+    # field asked for, holds at most _STACKS_PER_POINT (2M+2)x(2M+2) float64
+    # matrices per point at its peak, which needs the slice's drift stack
+    # freed before the measures run
+    matrix = 8 * (2 * m + 2) ** 2
+    budget = entflow.sweep._STACKS_PER_POINT * matrix
+    assert entflow.sweep._BATCH_BYTES // budget == points
+    base = oracle_base(m, warm=True)
+    r_values = np.linspace(0.0, 0.3, points)
+    next(iter(sweep_columns(base, r_values, [0.5])))  # first-call allocations
+    tracemalloc.start()
+    try:
+        columns = next(iter(sweep_columns(base, r_values, [0.5])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns.r.size == points and columns.solved.all()
+    assert peak <= budget * points, peak / (matrix * points)
 
 
 def test_sub_vacuum_diffusion_marks_no_point_physical(monkeypatch):
