@@ -1,14 +1,22 @@
 """Command-line interface: solve single points, export figure datasets, and
 run the built-in selftest fixtures.
 
+One table, ``COMMANDS``, holds every command with its positional argument,
+its flags (name, how the value is read, default) and its help line;
+``parse_args`` reads a command line against it and ``main`` runs the
+command's ``cmd_<command>``.  A flag takes its value as ``--flag VALUE`` or
+``--flag=VALUE`` (a value may start with ``-``, as in ``--r -1.0``), and its
+name must be written in full.  ``entflow --help`` and ``entflow COMMAND
+--help`` print the table.
+
 Exit codes: 0 success (an unstable operating point is a finding, not an
-error), 1 selftest failure, 2 configuration error, 3 solver failure, 4 I/O
-failure.  ``main`` alone turns a raised error into its exit code.
+error), 1 selftest failure, 2 configuration or usage error, 3 solver
+failure, 4 I/O failure.  ``main`` alone turns a raised error into its exit
+code; a usage error is a ConfigError like any other.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -17,6 +25,8 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -335,57 +345,177 @@ def cmd_selftest(_args) -> int:
     return EXIT_SELFTEST if failures else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entflow",
-        description=(
-            "Steady-state Gaussian dynamics of a squeezed mode driving a "
-            "cascaded bosonic chain: stability, entanglement transport, and "
-            "thermal limits."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Flag(NamedTuple):
+    """One argument of a command: the attribute it fills, how its text is
+    read (``float``, a tuple of the allowed choices, or ``str`` for the
+    text as given), its default, and its metavar and help line."""
 
-    p_point = sub.add_parser(
-        "point", help="solve one operating point and print a summary"
-    )
-    p_point.add_argument("--config", metavar="FILE", help="config file (key = value lines)")
-    p_point.add_argument("--r", type=float, metavar="RATE", help="squeezing rate override")
-    p_point.add_argument("--j", type=float, metavar="RATE", help="source coupling override")
-    p_point.add_argument("--direction", choices=[d.value for d in Direction])
-    p_point.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        help="convert the deepest entangled node's occupation to a temperature",
-    )
-    p_point.set_defaults(handler=cmd_point)
+    dest: str
+    value: object
+    default: object
+    metavar: str
+    help: str
 
-    p_figure = sub.add_parser(
-        "figure", help="sweep a parameter grid and export a figure CSV + manifest"
-    )
-    p_figure.add_argument("name", choices=FIGURE_NAMES)
-    p_figure.add_argument("--config", metavar="FILE")
-    p_figure.add_argument("--grid", default="101x101", metavar="NRxNJ")
-    p_figure.add_argument(
-        "--range", dest="value_range", default="0:1,0:1", metavar="RMIN:RMAX,JMIN:JMAX"
-    )
-    p_figure.add_argument("--out", metavar="PATH", help="CSV path (default: <name>.csv)")
-    p_figure.add_argument("--direction", choices=[d.value for d in Direction])
-    p_figure.set_defaults(handler=cmd_figure)
 
-    p_selftest = sub.add_parser("selftest", help="run built-in validation fixtures")
-    p_selftest.set_defaults(handler=cmd_selftest)
+class _Command(NamedTuple):
+    help: str
+    positional: _Flag | None
+    flags: dict
 
-    return parser
+
+_DIRECTION = _Flag(
+    "direction", tuple(d.value for d in Direction), None, "DIRECTION", "coupling direction"
+)
+_CONFIG = _Flag("config", str, None, "FILE", "config file (key = value lines)")
+
+# The whole command line: per command its help line, its one positional
+# argument if any, and its flags by exact name.  ``main`` runs the command
+# through ``cmd_<command>``, looked up when it runs.
+COMMANDS = {
+    "point": _Command(
+        "solve one operating point and print a summary",
+        None,
+        {
+            "--config": _CONFIG,
+            "--r": _Flag("r", float, None, "RATE", "squeezing rate override"),
+            "--j": _Flag("j", float, None, "RATE", "source coupling override"),
+            "--direction": _DIRECTION,
+            "--preset": _Flag(
+                "preset", tuple(sorted(PRESETS)), None, "PRESET",
+                "convert the deepest entangled node's occupation to a temperature",
+            ),
+        },
+    ),
+    "figure": _Command(
+        "sweep a parameter grid and export a figure CSV + manifest",
+        _Flag("name", FIGURE_NAMES, None, "FIGURE", "the figure to export"),
+        {
+            "--config": _CONFIG,
+            "--grid": _Flag("grid", str, "101x101", "NRxNJ", "grid size"),
+            "--range": _Flag(
+                "value_range", str, "0:1,0:1", "RMIN:RMAX,JMIN:JMAX", "r and j spans"
+            ),
+            "--out": _Flag("out", str, None, "PATH", "CSV path (default: <name>.csv)"),
+            "--direction": _DIRECTION,
+        },
+    ),
+    "selftest": _Command("run built-in validation fixtures", None, {}),
+}
+
+_HELP_FLAGS = ("-h", "--help")
+_DESCRIPTION = (
+    "Steady-state Gaussian dynamics of a squeezed mode driving a cascaded "
+    "bosonic chain: stability, entanglement transport, and thermal limits."
+)
+
+
+def _read(command: str, label: str, spec: _Flag, text: str):
+    """``text`` read as ``spec`` says; raises ConfigError naming the
+    command, the argument and the text."""
+    if spec.value is float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigError(f"{command}: {label} expects a number, got {text!r}") from None
+    if isinstance(spec.value, tuple) and text not in spec.value:
+        raise ConfigError(
+            f"{command}: {label} must be one of {', '.join(spec.value)}, got {text!r}"
+        )
+    return text
+
+
+def _help_text(name=None) -> str:
+    """The help of command ``name``, or of the whole program."""
+    if name is None:
+        width = max(map(len, COMMANDS))
+        lines = [
+            "usage: entflow [--version] COMMAND [flags]", "", _DESCRIPTION, "", "commands:",
+            *(f"  {n:<{width}}  {c.help}" for n, c in COMMANDS.items()),
+            "", "Run 'entflow COMMAND --help' for a command's flags.",
+        ]
+        return "\n".join(lines)
+    command = COMMANDS[name]
+    usage = f"usage: entflow {name}"
+    rows = [(f"{flag} {spec.metavar}", spec) for flag, spec in command.flags.items()]
+    if command.positional is not None:
+        usage += f" {command.positional.metavar}"
+        rows.insert(0, (command.positional.metavar, command.positional))
+    if command.flags:
+        usage += " [flags]"
+    entries = []
+    for label, spec in rows:
+        text = spec.help
+        if isinstance(spec.value, tuple):
+            text += f" (one of: {', '.join(spec.value)})"
+        if spec.default is not None:
+            text += f" (default: {spec.default})"
+        entries.append((label, text))
+    entries.append(("-h, --help", "show this help"))
+    width = max(len(label) for label, _ in entries)
+    lines = [usage, "", command.help, "", *(f"  {l:<{width}}  {t}" for l, t in entries)]
+    if command.flags:
+        lines += ["", "A flag takes its value as '--flag VALUE' or '--flag=VALUE'; "
+                      "write its name in full."]
+    return "\n".join(lines)
+
+
+def parse_args(argv):
+    """Read ``argv`` against ``COMMANDS``.  Returns a namespace holding
+    ``command`` and every argument of that command, or, for ``-h``,
+    ``--help`` and ``--version``, the text to print.  Every usage error
+    raises ConfigError."""
+    if not argv:
+        raise ConfigError(f"entflow: missing command (one of {', '.join(COMMANDS)})")
+    name, *rest = argv
+    if name in _HELP_FLAGS:
+        return _help_text()
+    if name == "--version":
+        return f"entflow {__version__}"
+    command = COMMANDS.get(name)
+    if command is None:
+        kind = "flag" if name.startswith("-") else "command"
+        raise ConfigError(
+            f"entflow: unknown {kind} {name!r} (commands: {', '.join(COMMANDS)})"
+        )
+    positional = command.positional
+    specs = (positional, *command.flags.values())
+    args = SimpleNamespace(command=name, **{s.dest: s.default for s in specs if s})
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            return _help_text(name)
+        if not token.startswith("-"):
+            if positional is None or getattr(args, positional.dest) is not None:
+                raise ConfigError(f"{name}: unexpected argument {token!r}")
+            setattr(args, positional.dest, _read(name, positional.metavar, positional, token))
+            continue
+        flag, inline, text = token.partition("=")
+        spec = command.flags.get(flag)
+        if spec is None:
+            raise ConfigError(f"{name}: unknown flag {flag!r}")
+        if not inline:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ConfigError(f"{name}: {flag} needs a value")
+        setattr(args, spec.dest, _read(name, flag, spec, text))
+    if positional is not None and getattr(args, positional.dest) is None:
+        raise ConfigError(
+            f"{name}: missing {positional.metavar} (one of {', '.join(positional.value)})"
+        )
+    return args
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place where an error becomes an exit
-    code."""
-    args = build_parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default); the only place
+    where an error becomes an exit code.  A usage error (no or unknown
+    command, unknown flag, missing or malformed value) is a ConfigError
+    like any other and exits 2; nothing here raises SystemExit."""
     try:
-        return args.handler(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return EXIT_OK
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

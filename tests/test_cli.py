@@ -1,5 +1,6 @@
 """Command-line behaviour: reports, exports, manifests, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import scipy
 
 import entflow
-from entflow import ConfigError, UnstableError, solve_steady_states
+from entflow import FIGURE_NAMES, ConfigError, UnstableError, solve_steady_states
 from entflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -445,6 +446,107 @@ def test_main_maps_every_command_s_errors_to_exit_codes(
 
     monkeypatch.setattr(f"entflow.cli.cmd_{argv[0]}", handler)
     assert run_cli(capsys, *argv) == (code, "", message)
+
+
+# ---------------------------------------------------------------------------
+# the command line itself
+
+FLAGS = {
+    "point": ("--config", "--r", "--j", "--direction", "--preset"),
+    "figure": ("--config", "--grid", "--range", "--out", "--direction"),
+    "selftest": (),
+}
+
+
+USAGE_ERRORS = [
+    ((), "entflow: missing command"),
+    (("bogus",), "entflow: unknown command 'bogus'"),
+    (("--bogus",), "entflow: unknown flag '--bogus'"),
+    (("point", "--bogus"), "point: unknown flag '--bogus'"),
+    (("point", "--r"), "point: --r needs a value"),
+    (("point", "--r", "abc"), "point: --r expects a number, got 'abc'"),
+    (("point", "--j=abc"), "point: --j expects a number, got 'abc'"),
+    (("point", "--direction", "sideways"), "point: --direction must be one of"),
+    (("point", "--preset", "optical"), "point: --preset must be one of"),
+    (("point", "--config", "--r", "0.1"), "point: --config needs a value"),
+    (("point", "extra"), "point: unexpected argument 'extra'"),
+    (("figure",), "figure: missing FIGURE"),
+    (("figure", "nope"), "figure: FIGURE must be one of"),
+    (("figure", "depth", "stability"), "figure: unexpected argument 'stability'"),
+    (("figure", "--grid", "2x2"), "figure: missing FIGURE"),
+    (("point", "--conf", "x"), "point: unknown flag '--conf'"),
+    (("selftest", "--r", "1"), "selftest: unknown flag '--r'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", USAGE_ERRORS, ids=[" ".join(argv) or "empty" for argv, _ in USAGE_ERRORS]
+)
+def test_usage_errors_return_2_through_main(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    except SystemExit as exc:  # pragma: no cover - the failure being tested
+        pytest.fail(f"main raised SystemExit({exc.code})")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *FLAGS])
+def test_help_lists_every_flag(capsys, command, flag):
+    argv = (flag,) if command is None else (command, flag)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert err == ""
+    if command is None:
+        assert "--version" in out
+        assert all(name in out for name in FLAGS)
+    else:
+        assert out.startswith(f"usage: entflow {command}")
+        assert all(name in out for name in FLAGS[command])
+    if command == "figure":
+        assert all(name in out for name in FIGURE_NAMES)
+
+
+def test_help_wins_over_the_rest_of_the_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "figure", "depth", "--grid", "2x2", "--help")
+    assert code == EXIT_OK
+    assert out.startswith("usage: entflow figure")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_version(capsys):
+    assert run_cli(capsys, "--version") == (EXIT_OK, f"entflow {entflow.__version__}\n", "")
+
+
+def test_flag_forms_are_the_same(capsys):
+    spaced = run_cli(capsys, "point", "--r", "0.1", "--j", "0.5", "--direction", "backward")
+    joined = run_cli(capsys, "point", "--r=0.1", "--j=0.5", "--direction=backward")
+    assert spaced == joined
+    assert spaced[0] == EXIT_OK
+    # the last of a repeated flag counts
+    assert run_cli(capsys, "point", "--r", "1", "--r", "0.1", "--j", "0.5",
+                   "--direction", "backward") == spaced
+
+
+def test_no_command_builds_an_argparse_parser(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse.ArgumentParser built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    out = tmp_path / "s.csv"
+    for argv in (
+        ("point",),
+        ("figure", "stability", "--grid", "2x2", "--out", str(out)),
+        ("selftest",),
+    ):
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert out.exists()
 
 
 def test_console_entry_point_runs():
