@@ -29,7 +29,7 @@ for r, row in zip(R_VALUES, stable):
     cells = ["   ." if up else "   X" for up in row]
     print(f"r={r:4.2f} " + " ".join(cells))
 
-_, rows, sweeps = export_csv(
+_, rows, sweeps, _ = export_csv(
     "stability", DEFAULT_CONFIG, R_VALUES, J_VALUES, "stability_map.csv"
 )
 print()

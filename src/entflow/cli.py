@@ -120,35 +120,41 @@ def cmd_point(args) -> int:
 _GRID_RE = re.compile(r"^(\d+)x(\d+)$")
 
 
-def _parse_grid(text: str):
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expects a number, got {text!r}") from None
+
+
+def _grid(text: str) -> tuple:
+    """``--grid NRxNJ`` as (NR, NJ); ValueError says what is wrong."""
     match = _GRID_RE.match(text)
     if not match:
-        raise ConfigError(f"--grid: expected 'NRxNJ' like 51x51, got {text!r}")
+        raise ValueError(f"expects 'NRxNJ' like 51x51, got {text!r}")
     n_r, n_j = int(match.group(1)), int(match.group(2))
     if n_r < 1 or n_j < 1:
-        raise ConfigError(f"--grid: both sizes must be >= 1, got {text!r}")
+        raise ValueError(f"sizes must both be >= 1, got {text!r}")
     return n_r, n_j
 
 
-def _parse_range(text: str):
+def _spans(text: str) -> tuple:
+    """``--range RMIN:RMAX,JMIN:JMAX`` as ((RMIN, RMAX), (JMIN, JMAX));
+    ValueError says what is wrong."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(
-            f"--range: expected 'RMIN:RMAX,JMIN:JMAX', got {text!r}"
-        )
+        raise ValueError(f"expects 'RMIN:RMAX,JMIN:JMAX', got {text!r}")
     spans = []
     for part in parts:
         lo, sep, hi = part.partition(":")
         try:
             lo_v, hi_v = float(lo), float(hi)
         except ValueError:
-            raise ConfigError(f"--range: bad span {part!r}") from None
+            raise ValueError(f"has a bad span {part!r}") from None
         if not (math.isfinite(lo_v) and math.isfinite(hi_v)):
-            raise ConfigError(f"--range: span bounds must be finite, got {part!r}")
+            raise ValueError(f"span bounds must be finite, got {part!r}")
         if not sep or hi_v < lo_v or lo_v < 0:
-            raise ConfigError(
-                f"--range: spans need 0 <= min <= max, got {part!r}"
-            )
+            raise ValueError(f"spans need 0 <= min <= max, got {part!r}")
         spans.append((lo_v, hi_v))
     return spans[0], spans[1]
 
@@ -210,8 +216,8 @@ def _write_manifest(path: Path, manifest: dict, table: Path) -> None:
 
 def cmd_figure(args) -> int:
     cfg = _load_base_config(args)
-    n_r, n_j = _parse_grid(args.grid)
-    (r_lo, r_hi), (j_lo, j_hi) = _parse_range(args.value_range)
+    n_r, n_j = args.grid
+    (r_lo, r_hi), (j_lo, j_hi) = args.value_range
     if _report_config_problems(cfg):
         return EXIT_CONFIG
 
@@ -221,7 +227,9 @@ def cmd_figure(args) -> int:
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
     manifest_path = out.with_name(out.name + ".manifest.json")
     try:
-        digest, rows, sweeps = export_csv(args.name, cfg, r_values, j_values, out, direction)
+        digest, rows, sweeps, solved = export_csv(
+            args.name, cfg, r_values, j_values, out, direction
+        )
         manifest = {
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -233,6 +241,7 @@ def cmd_figure(args) -> int:
                 "j_values": [float(v) for v in j_values],
             },
             "sweeps": sweeps,
+            "solved_nodes": solved,
             "outputs": {out.name: digest},
             "environment": _environment(),
         }
@@ -347,8 +356,9 @@ def cmd_selftest(_args) -> int:
 
 class _Flag(NamedTuple):
     """One argument of a command: the attribute it fills, how its text is
-    read (``float``, a tuple of the allowed choices, or ``str`` for the
-    text as given), its default, and its metavar and help line."""
+    read (a tuple of the allowed choices, or a function of the text that
+    raises ValueError saying what is wrong), its default text, and its
+    metavar and help line."""
 
     dest: str
     value: object
@@ -377,8 +387,8 @@ COMMANDS = {
         None,
         {
             "--config": _CONFIG,
-            "--r": _Flag("r", float, None, "RATE", "squeezing rate override"),
-            "--j": _Flag("j", float, None, "RATE", "source coupling override"),
+            "--r": _Flag("r", _number, None, "RATE", "squeezing rate override"),
+            "--j": _Flag("j", _number, None, "RATE", "source coupling override"),
             "--direction": _DIRECTION,
             "--preset": _Flag(
                 "preset", tuple(sorted(PRESETS)), None, "PRESET",
@@ -391,9 +401,9 @@ COMMANDS = {
         _Flag("name", FIGURE_NAMES, None, "FIGURE", "the figure to export"),
         {
             "--config": _CONFIG,
-            "--grid": _Flag("grid", str, "101x101", "NRxNJ", "grid size"),
+            "--grid": _Flag("grid", _grid, "101x101", "NRxNJ", "grid size"),
             "--range": _Flag(
-                "value_range", str, "0:1,0:1", "RMIN:RMAX,JMIN:JMAX", "r and j spans"
+                "value_range", _spans, "0:1,0:1", "RMIN:RMAX,JMIN:JMAX", "r and j spans"
             ),
             "--out": _Flag("out", str, None, "PATH", "CSV path (default: <name>.csv)"),
             "--direction": _DIRECTION,
@@ -412,12 +422,12 @@ _DESCRIPTION = (
 def _read(command: str, label: str, spec: _Flag, text: str):
     """``text`` read as ``spec`` says; raises ConfigError naming the
     command, the argument and the text."""
-    if spec.value is float:
+    if not isinstance(spec.value, tuple):
         try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{command}: {label} expects a number, got {text!r}") from None
-    if isinstance(spec.value, tuple) and text not in spec.value:
+            return spec.value(text)
+        except ValueError as exc:
+            raise ConfigError(f"{command}: {label} {exc}") from None
+    if text not in spec.value:
         raise ConfigError(
             f"{command}: {label} must be one of {', '.join(spec.value)}, got {text!r}"
         )
@@ -478,8 +488,12 @@ def parse_args(argv):
             f"entflow: unknown {kind} {name!r} (commands: {', '.join(COMMANDS)})"
         )
     positional = command.positional
-    specs = (positional, *command.flags.values())
-    args = SimpleNamespace(command=name, **{s.dest: s.default for s in specs if s})
+    args = SimpleNamespace(command=name, **{
+        spec.dest: None if spec.default is None else _read(name, flag, spec, spec.default)
+        for flag, spec in command.flags.items()
+    })
+    if positional is not None:
+        setattr(args, positional.dest, None)
     tokens = iter(rest)
     for token in tokens:
         if token in _HELP_FLAGS:

@@ -24,12 +24,16 @@ order is a ``BlockPlan`` (``block_plan``): a plan built from a nonzero
 pattern serves every drift whose pattern lies within it, so a family of
 drifts, such as a network over its (r, j) grid, shares one.  Which of its
 blocks need a Schur form is decided per drift, by one vectorized
-damped-rotation test over all 2x2 blocks.  Besides the drifts, a solve
-holds two stacks of their shape at once.  A generic Kronecker-vectorized
-solver, (I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent
-oracle.
+damped-rotation test over all 2x2 blocks.  A plan may also name a
+trailing block (``BlockPlan.trailing``): the groups of some indices and
+every later group.  That block depends on nothing before it, so its
+Lyapunov equation is closed, and a solve under such a plan reads the
+abscissa off the whole block form but solves that block alone, bitwise as
+the whole solve would.  Besides the drifts, a solve holds two stacks of
+the solved block's shape at once.  A generic Kronecker-vectorized solver,
+(I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent oracle.
 Every returned matrix is checked against the residual contract
-||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max).
+||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max), on the block solved.
 
 Time evolution needs neither a steady state nor an eigenbasis: one Van
 Loan block exponential of [[A, N], [0, -A^T]] over a step short enough to
@@ -58,6 +62,7 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -132,11 +137,38 @@ class BlockPlan:
     For every drift the plan serves, a[order][:, order] is block upper
     triangular.  ``blocks`` lists, as (lo, hi) in the permuted indices,
     every diagonal block larger than 1x1; whether one needs a real Schur
-    form is decided per drift (``_schur_forms``).
+    form is decided per drift (``_schur_forms``).  A solve under the plan
+    covers the trailing block order[start:] (``trailing``), by default all
+    of it.
     """
 
     order: np.ndarray
     blocks: tuple
+    start: int = 0
+
+    def trailing(self, indices) -> BlockPlan:
+        """This plan, solving only the trailing block that holds ``indices``:
+        their groups and every later group, nothing when ``indices`` is
+        empty.
+
+        Each group depends only on the groups after it, so the Lyapunov
+        equation restricted to that block is closed: its solution is the
+        steady state's block on those indices, whatever the rest of the
+        drift.
+        """
+        wanted = set(indices)
+        order = self.order.tolist()
+        first = next((k for k, i in enumerate(order) if i in wanted), len(order))
+        start = next((lo for lo, hi in self.blocks if lo <= first < hi), first)
+        return BlockPlan(self.order, self.blocks, start)
+
+    @cached_property
+    def solved(self) -> np.ndarray:
+        """The indices whose steady state a solve under this plan returns,
+        ascending: the order in which it returns them."""
+        kept = np.zeros(self.order.size, dtype=bool)
+        kept[self.order[self.start :]] = True
+        return np.flatnonzero(kept)
 
 
 def _block_order(a: np.ndarray) -> tuple:
@@ -230,11 +262,6 @@ def block_plan(a: np.ndarray) -> BlockPlan:
     return BlockPlan(order=order, blocks=tuple(blocks))
 
 
-def _permuted(x: np.ndarray, plan: BlockPlan) -> np.ndarray:
-    """x[..., order][..., :, order] of a matrix or stack, in one pass."""
-    return x[..., plan.order[:, None], plan.order]
-
-
 def _schur(block: np.ndarray) -> tuple:
     """Real Schur form (t, z) of one block, block = z t z^T (LAPACK dgees)."""
     t, _, _, _, z, _, info = scipy.linalg.lapack.dgees(
@@ -250,16 +277,17 @@ def _unsorted(*_eigenvalue) -> bool:
     return False
 
 
-def _schur_forms(u: np.ndarray, plan: BlockPlan) -> list:
-    """Real Schur forms of the diagonal blocks of the stack ``u`` (B, n, n),
-    already in the plan's order, as groups (lo, hi, z, t); ``u`` is left
-    unchanged.
+def _schur_forms(a: np.ndarray, plan: BlockPlan) -> list:
+    """Real Schur forms of the diagonal blocks of the plan's form of every
+    drift of the stack ``a`` (B, n, n), read from ``a`` in its own order, as
+    groups (lo, hi, z, t); ``a`` is left unchanged.
 
-    Each group is one block [lo, hi) that some matrix of the stack needs
-    brought to Schur form: u[b][lo:hi, lo:hi] = z[b] t[b] z[b]^T.  With Z_b
-    the block-diagonal orthogonal matrix of the groups (identity outside
-    them), Z_b^T u[b] Z_b with every block [lo, hi) replaced by t[b] is quasi
-    upper triangular in Schur canonical form (1x1 blocks and 2x2 blocks
+    With u = a[:, order][:, :, order], each group is one block [lo, hi) that
+    some matrix of the stack needs brought to Schur form:
+    u[b][lo:hi, lo:hi] = z[b] t[b] z[b]^T.  With Z_b the block-diagonal
+    orthogonal matrix of the groups (identity outside them), Z_b^T u[b] Z_b
+    with every block [lo, hi) replaced by t[b] is quasi upper triangular in
+    Schur canonical form (1x1 blocks and 2x2 blocks
     [[alpha, beta], [gamma, alpha]] with beta gamma < 0), so its diagonal
     holds the real parts of the eigenvalues.  Damped rotations
     [[alpha, beta], [-beta, alpha]] (every chain node) already are
@@ -269,23 +297,23 @@ def _schur_forms(u: np.ndarray, plan: BlockPlan) -> list:
     in every matrix makes no group.  Every other block gets a real Schur
     form (LAPACK dgees).
     """
-    first = np.array([lo for lo, _ in plan.blocks], dtype=np.intp)
+    lows = np.array([lo for lo, _ in plan.blocks], dtype=np.intp)
+    first, second = plan.order[lows], plan.order[lows + 1]
     pairs = np.array([hi - lo == 2 for lo, hi in plan.blocks], dtype=bool)
-    second = first + 1
     needed = ~(
         pairs
-        & (u[:, second, second] == u[:, first, first])
-        & (u[:, second, first] == -u[:, first, second])
+        & (a[:, second, second] == a[:, first, first])
+        & (a[:, second, first] == -a[:, first, second])
     )
     groups = []
     for k in np.flatnonzero(needed.any(axis=0)).tolist():
         lo, hi = plan.blocks[k]
-        block = u[:, lo:hi, lo:hi]
-        t = block.copy()
+        indices = plan.order[lo:hi]
+        t = a[:, indices[:, None], indices]
         z = np.zeros_like(t)
         z[:] = np.eye(hi - lo)
         for b in np.flatnonzero(needed[:, k]).tolist():
-            t[b], z[b] = _schur(block[b])
+            t[b], z[b] = _schur(t[b])
         groups.append((lo, hi, z, t))
     return groups
 
@@ -300,9 +328,14 @@ def _congruence(groups, x: np.ndarray, inverse: bool = False) -> None:
         x[:, :, lo:hi] = x[:, :, lo:hi] @ _transpose(left)
 
 
-def _abscissa(u: np.ndarray) -> np.ndarray:
-    """Spectral abscissa of every matrix of a stack in real Schur form."""
-    return np.diagonal(u, axis1=1, axis2=2).max(axis=1)
+def _abscissae(a: np.ndarray, plan: BlockPlan, groups: list) -> np.ndarray:
+    """Spectral abscissa of every drift of the stack ``a``: the largest
+    diagonal entry of its plan's form, each block of ``groups``
+    (``_schur_forms``) taken in its Schur form."""
+    diagonal = np.diagonal(a, axis1=1, axis2=2).copy()
+    for lo, hi, _, t in groups:
+        diagonal[:, plan.order[lo:hi]] = np.diagonal(t, axis1=1, axis2=2)
+    return diagonal.max(axis=1)
 
 
 def _transpose(x: np.ndarray) -> np.ndarray:
@@ -324,11 +357,16 @@ def spectral_abscissa(a: np.ndarray) -> float:
     defective cluster of the whole drift, never enter an eigensolver.
     """
     a = _finite(np.asarray(a, dtype=float))
-    plan = block_plan(a)
-    u = _permuted(a, plan)[None]
-    for lo, hi, _, t in _schur_forms(u, plan):
-        u[:, lo:hi, lo:hi] = t
-    return float(_abscissa(u)[0])
+    return float(spectral_abscissae(a[None], block_plan(a))[0])
+
+
+def spectral_abscissae(a: np.ndarray, plan: BlockPlan) -> np.ndarray:
+    """Spectral abscissa of every drift of the stack ``a`` (B, n, n) under
+    the block plan ``plan`` (whatever block it solves), shape (B,): the
+    abscissa ``solve_steady_states`` decides stability by, without solving
+    anything."""
+    a = _finite(np.asarray(a, dtype=float))
+    return _abscissae(a, plan, _schur_forms(a, plan))
 
 
 def stability_report(a: np.ndarray) -> StabilityReport:
@@ -517,36 +555,29 @@ def solve_steady_states(
     step acts on the whole stack at once.  Each drift's result depends on
     that drift and the plan alone, never on the rest of the stack.
 
-    The solve holds two stacks of the shape of ``a``: the drifts in the
-    block order, brought to Schur form and back, which ends up holding the
-    states, and the right-hand side, which becomes the solution.  With
-    ``overwrite_a`` the right-hand side takes the memory of ``a``, whose
-    contents are then lost.  The residual contract is checked in the block
-    order, a part of the stack at a time.
+    The abscissa is read off the whole block form; the solve covers only
+    the plan's trailing block (``BlockPlan.trailing``), which is closed, so
+    its states are bitwise those of the whole solve there, and the residual
+    contract is checked on that block (its own N for the bound).
+
+    The solve holds two stacks of the shape of the solved block: the drifts
+    in the block order, brought to Schur form and back, which ends up
+    holding the states, and the right-hand side, which becomes the
+    solution.  With ``overwrite_a`` a whole-block right-hand side takes the
+    memory of ``a``, whose contents are then lost.  The residual contract
+    is checked in the block order, a part of the stack at a time.
 
     Returns (abscissa, states, errors): abscissa has shape (B,); errors[b]
     is None or the error ``solve_steady_state_spectral`` raises for drift b
     (UnstableError exactly where drift b is not stable); states[b] is its
-    steady state where errors[b] is None and undefined otherwise.
+    steady state on the indices ``plan.solved``, in that order, where
+    errors[b] is None and undefined otherwise.
     """
     a = _finite(np.asarray(a, dtype=float))
     if plan is None:
         plan = block_plan((a != 0).any(axis=0))
-    u = _permuted(a, plan)
-    noise = _permuted(np.asarray(noise, dtype=float), plan)
-    # right-hand side C = -(N + A + A^T) in the block order
-    c = np.add(noise, u, out=a if overwrite_a else None)
-    c += _transpose(u)
-    np.negative(c, out=c)
-    groups = _schur_forms(u, plan)
-    # the rows and columns the Schur bases change, to restore A afterwards
-    saved = [(lo, hi, u[:, lo:hi].copy(), u[:, :, lo:hi].copy()) for lo, hi, _, _ in groups]
-    _congruence(groups, u)
-    for lo, hi, _, t in groups:
-        u[:, lo:hi, lo:hi] = t
-    _congruence(groups, c)
-
-    abscissa = _abscissa(u)
+    groups = _schur_forms(a, plan)
+    abscissa = _abscissae(a, plan, groups)
     stable = abscissa < -STABILITY_MARGIN
     errors = [
         None
@@ -557,6 +588,25 @@ def solve_steady_states(
         )
         for value, up in zip(abscissa.tolist(), stable.tolist())
     ]
+    kept = plan.order[plan.start :]
+    if not kept.size:
+        return abscissa, np.empty((a.shape[0], 0, 0)), errors
+    u = a[:, kept[:, None], kept]
+    noise = np.asarray(noise, dtype=float)[..., kept[:, None], kept]
+    # right-hand side C = -(N + A + A^T) in the block order
+    c = np.add(noise, u, out=a if overwrite_a and u.shape == a.shape else None)
+    c += _transpose(u)
+    np.negative(c, out=c)
+    groups = [
+        (lo - plan.start, hi - plan.start, z, t) for lo, hi, z, t in groups if lo >= plan.start
+    ]
+    # the rows and columns the Schur bases change, to restore A afterwards
+    saved = [(lo, hi, u[:, lo:hi].copy(), u[:, :, lo:hi].copy()) for lo, hi, _, _ in groups]
+    _congruence(groups, u)
+    for lo, hi, _, t in groups:
+        u[:, lo:hi, lo:hi] = t
+    _congruence(groups, c)
+
     c[~stable] = 0.0
     for b in np.flatnonzero(stable).tolist():
         y, scale, info = scipy.linalg.lapack.dtrsyl(u[b], u[b], c[b], tranb="T")
@@ -572,13 +622,14 @@ def solve_steady_states(
         u[:, lo:hi] = rows
         u[:, :, lo:hi] = columns
     # V = I + Z Y Z^T, symmetrized, checked, and scattered back to the
-    # drift's order
+    # drift's order of the solved indices
     _congruence(groups, c, inverse=True)
     c += np.eye(c.shape[-1])
     _symmetrize(c)
     residual = _residual_errors(u, c, noise, "structured")
     states = u
-    states[:, plan.order[:, None], plan.order] = c
+    back = np.searchsorted(plan.solved, kept)
+    states[:, back[:, None], back] = c
     return abscissa, states, [error or late for error, late in zip(errors, residual)]
 
 

@@ -13,25 +13,37 @@ for the stable points only, and the source-pair entanglements from stacked
 closed forms.  One block plan serves the whole network: its nonzero pattern
 with the source coupling holds every grid point's, j = 0 included.  The
 batch is cut into slices under a fixed working-set budget, counted from the
-stacks the engine holds at once.  Stability is the solve's own verdict.
-Physicality does not depend on (r, j) at all: one certificate of the
-generator (``certify_physicality``) per sweep decides it for every solved
-point.  The certificate holds for every valid network with dissipation, and
-a network without any has no stable point.
+stacks the engine holds at once.  Stability is read off the whole block
+form, by the solve's own rule.  Physicality does not depend on (r, j) at
+all: one certificate of the generator (``certify_physicality``) per sweep
+decides it for every solved point.  The certificate holds for every valid
+network with dissipation, and a network without any has no stable point.
+
+Transport is one-way, so a node's state depends only on the nodes upstream
+of it.  A sweep solves only the trailing block of the plan that holds the
+nodes its fields read (``BlockPlan.trailing``): the source and the probe or
+depth-scan nodes, their groups and every later group.  Its states are
+bitwise those of the whole solve, and the residual contract is checked on
+that block, so a point whose solve would fail only outside it is not
+failed.  Forward, the pair (0, 2) needs nodes 0-2 alone; backward, the
+source's group is the first, so any pair solves every node, as the depth
+scan does.  A sweep that reads no node solves nothing: the abscissa decides
+stable, and physical is stable and the certificate.
 
 The engine hands back each slice as columns (``SweepColumns``): r, j,
 stable, physical, the spectral abscissa, each point's failure, and only the
 optional fields that were asked for (``sweep_columns``).  One table
 (``_FIGURES``) holds each figure's directions and columns, and
 ``figure_dataset`` sweeps a figure asking only for the fields it writes:
-``nonreciprocity`` the pair (0, 2) forward and (0, M-1) backward,
-``depth`` and ``occupation`` the depth scan over every node,
-``stability`` no pair at all, though its points are still solved.
-``export_csv``, the one figure writer, streams each slice's rows to the
-CSV as soon as it is computed, so its memory does not grow with the grid.
-A figure cell is empty when its point is unstable, or when the point's
-solve or the quantity the figure writes failed; a pair the figure does not
-write is never evaluated, so its failure blanks nothing.  ``sweep_grid``
+``nonreciprocity`` the pair (0, 2) forward (solving nodes 0-2) and
+(0, M-1) backward, ``depth`` and ``occupation`` the depth scan over every
+node, ``stability`` no pair at all, so it solves no steady state and never
+fails.  ``export_csv``, the one figure writer, streams each slice's rows to
+the CSV as soon as it is computed, so its memory does not grow with the
+grid.  A figure cell is empty when its point is unstable, or when the
+point's solve or the quantity the figure writes failed; a pair the figure
+does not write is never evaluated, and a node it does not read is never
+solved, so their failures blank nothing.  ``sweep_grid``
 asks for every field and keeps one PointResult per point, whose
 ``solver_error`` is the first failure of any of them; ``run_point`` is the
 one-point sweep, through the same setup and plan, and a point's result
@@ -52,8 +64,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, UnstableError
-from .lyapunov import BlockPlan, block_plan, solve_steady_states
+from .errors import ConfigError
+from .lyapunov import (
+    STABILITY_MARGIN,
+    BlockPlan,
+    block_plan,
+    solve_steady_states,
+    spectral_abscissae,
+)
 from .measures import _indefinite_pair, certify_physicality, pair_log_negativities
 from .network import (
     Direction,
@@ -142,9 +160,11 @@ class PointResult:
     ``stable`` is the solve's verdict: a spectral abscissa below
     -STABILITY_MARGIN.  ``physical`` is the physicality of the exact steady
     state of the generator: the generator's certificate
-    (``certify_physicality``) at every stable, solved point, and False
-    elsewhere.  The computed matrix is still held to the solver's residual
-    contract, and a failed pair goes to ``solver_error``.
+    (``certify_physicality``) at every stable point whose solve and pairs
+    succeeded, and False elsewhere.  The computed block is still held to the
+    solver's residual contract, and a failed pair goes to ``solver_error``.
+    A sweep that reads no node (the ``stability`` figure) solves nothing, so
+    there ``physical`` is stable and the certificate.
 
     Fields after ``spectral_abscissa`` are None when undefined: every
     steady-state quantity for unstable or failed points, the pair
@@ -231,7 +251,9 @@ class SweepColumns:
     False where a point is not solved.  ``values`` holds the optional
     PointResult fields that were computed (source-pair E_N, ``m_max``,
     ``nbar_at_mmax``), defined only where ``solved`` (``nbar_at_mmax`` also
-    needs m_max >= 1).
+    needs m_max >= 1).  ``nodes`` are the nodes whose steady state was
+    solved, ascending: the trailing block of the block plan that holds
+    every node ``values`` read, empty when they read none.
     """
 
     direction: Direction
@@ -243,6 +265,7 @@ class SweepColumns:
     solved: np.ndarray
     errors: list
     values: dict
+    nodes: tuple
 
     def column(self, field: str) -> list:
         """The PointResult field ``field`` of every point of the slice, None
@@ -293,22 +316,36 @@ def _columns(
     steady-state fields.  Solver and measure failures of a stable point go
     to its error, with the message the single-point functions raise, the
     first one in the order solve, source-pair entanglement.  Only the pairs
-    ``wanted`` needs are evaluated, so a failure in any other pair goes
-    unseen.
+    ``wanted`` needs are evaluated, and only the trailing block of ``plan``
+    that holds them is solved, so a failure anywhere else goes unseen; with
+    no pair, nothing is solved and the abscissa alone decides the point.
     """
+    depth = net.direction is Direction.FORWARD and not set(_DEPTH_FIELDS).isdisjoint(wanted)
+    nodes = _source_pairs(net, wanted, depth)
+    read = (0, *nodes) if nodes else ()
+    plan = plan.trailing([q for k in read for q in (2 * k, 2 * k + 1)])
     drifts = build_drift_stack(net, r, j)
-    abscissa, states, errors = solve_steady_states(drifts, noise, plan, overwrite_a=True)
+    if read:
+        abscissa, states, errors = solve_steady_states(drifts, noise, plan, overwrite_a=True)
+    else:
+        abscissa = spectral_abscissae(drifts, plan)
+        states, errors = np.empty((r.size, 0, 0)), [None] * r.size
     # drop the solve's scratch (in the drifts' memory) and, below, the
     # unsolved states, so that the measures hold only the solved states and
     # the pair kernel
     del drifts
-    solved = [b for b, error in enumerate(errors) if error is None]
+    # an unstable point's error (UnstableError) is a finding
+    stable = abscissa < -STABILITY_MARGIN
+    solved = [b for b in np.flatnonzero(stable).tolist() if errors[b] is None]
     v = states[solved]
     del states
 
-    depth = net.direction is Direction.FORWARD and not set(_DEPTH_FIELDS).isdisjoint(wanted)
-    nodes = _source_pairs(net, wanted, depth)
-    en = pair_log_negativities(v, 0, nodes) if nodes else np.empty((len(solved), 0))
+    # The network's pattern is unchanged by swapping every x with its p, so
+    # a node's two quadratures share a group or sit in adjacent groups, and
+    # the solved block holds whole nodes: its node i is node held[i].
+    held = plan.solved[0::2] // 2
+    slot = np.searchsorted(held, read).tolist()
+    en = pair_log_negativities(v, slot[0], slot[1:]) if nodes else np.empty((len(solved), 0))
     for row in np.flatnonzero(np.isnan(en).any(axis=1)).tolist():
         errors[solved[row]] = _indefinite_pair()
 
@@ -323,19 +360,17 @@ def _columns(
             values[field] = at_every_point(en[:, nodes.index(node)])
     if depth:
         m_max = _deepest(en, ENTANGLEMENT_THRESHOLD)
-        k, rows = 2 * m_max, np.arange(len(solved))
+        k, rows = 2 * np.searchsorted(held, m_max), np.arange(len(solved))
         values["m_max"] = at_every_point(m_max)
         values["nbar_at_mmax"] = at_every_point(
             (v[rows, k, k] + v[rows, k + 1, k + 1] - 2.0) / 4.0
         )
 
-    # the solve decided stability: an unstable point's error is a finding
-    stable = np.array([not isinstance(error, UnstableError) for error in errors], dtype=bool)
+    ok = stable & np.array([error is None for error in errors], dtype=bool)
     messages = [
         f"{type(error).__name__}: {error}" if up and error is not None else None
         for up, error in zip(stable.tolist(), errors)
     ]
-    ok = np.array([error is None for error in errors], dtype=bool)
     return SweepColumns(
         direction=net.direction,
         r=r,
@@ -346,6 +381,7 @@ def _columns(
         solved=ok,
         errors=messages,
         values=values,
+        nodes=tuple(held.tolist()),
     )
 
 
@@ -471,12 +507,13 @@ def figure_dataset(
     other, with only the fields its columns hold computed.
 
     nonreciprocity  forward, then backward, and takes no ``direction``: the
-                    source-to-probe pair of each (node 2 forward, node M-1
-                    backward);
-    depth           forward only: m_max;
-    occupation      forward only: nbar of the deepest entangled node;
+                    source-to-probe pair of each (node 2 forward, solving
+                    nodes 0-2 only; node M-1 backward, solving every node);
+    depth           forward only: m_max, solving every node;
+    occupation      forward only: nbar of the deepest entangled node,
+                    solving every node;
     stability       either direction: the stable and physical flags and
-                    the spectral abscissa.
+                    the spectral abscissa, solving no steady state.
 
     ``direction`` None is the figure's default, forward, whatever the
     direction of ``base``.  The figure, the direction and the grid are
@@ -538,13 +575,15 @@ def export_csv(
     (SHA-256 hex digest of the bytes written, rows written, per direction
     value in sweep order the sweep's statistics: solver passes and the
     counts of stable (solved), unstable and failed points, which add up to
-    the grid).
+    the grid; and per direction value the nodes whose steady state the
+    sweep solved: "all", their ascending list, or "none").
     """
     slices = figure_dataset(name, base, r_values, j_values, direction)
     figure = _FIGURES[name]
     digest = hashlib.sha256()
     rows = 0
     sweeps: dict = {}
+    solved: dict = {}
     with open(path, "wb") as handle:
 
         def write(text: str) -> None:
@@ -567,10 +606,14 @@ def export_csv(
                 counts["stable"] += size - unstable - failed
                 counts["unstable"] += unstable
                 counts["failed"] += failed
+                nodes = list(columns.nodes)
+                solved[columns.direction.value] = (
+                    "all" if len(nodes) == int(base.M) + 1 else nodes or "none"
+                )
                 rows += size
         except BaseException:
             # leave no partial table behind
             handle.close()
             Path(path).unlink(missing_ok=True)
             raise
-    return digest.hexdigest(), rows, sweeps
+    return digest.hexdigest(), rows, sweeps, solved

@@ -239,16 +239,20 @@ def test_manifest_records_sweep_statistics(tmp_path, capsys, monkeypatch):
     }
     assert 0 < unstable < 121
 
-    # a failed point counts as failed, not as stable; the other rows stay
+    # a failed point counts as failed, not as stable; the other rows stay.
+    # stability solves no steady state, so the failure goes into depth,
+    # which solves every node, on the same grid
     def failing(*args, **kwargs):
         abscissa, states, errors = solve_steady_states(*args, **kwargs)
         errors[0] = entflow.ResidualTooLargeError("planted")
         return abscissa, states, errors
 
+    out, argv = figure_args(tmp_path, "depth", "--range", "0:2,0:1", "--grid", "11x11")
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
     before = out.read_bytes()
     monkeypatch.setattr("entflow.sweep.solve_steady_states", failing)
     assert run_cli(capsys, *argv)[0] == EXIT_OK
-    manifest = json.loads((tmp_path / "stability.csv.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "depth.csv.manifest.json").read_text())
     assert manifest["sweeps"]["forward"] == {
         "passes": 1, "stable": 121 - unstable - 1, "unstable": unstable, "failed": 1
     }
@@ -317,6 +321,26 @@ def test_figure_flag_validation_exits_2(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == EXIT_CONFIG
     assert err != ""
+    assert not out.exists()
+
+
+GRID_AND_RANGE_ERRORS = [
+    ("--grid=4", "figure: --grid expects 'NRxNJ' like 51x51, got '4'"),
+    ("--grid=0x4", "figure: --grid sizes must both be >= 1, got '0x4'"),
+    ("--range=0:1", "figure: --range expects 'RMIN:RMAX,JMIN:JMAX', got '0:1'"),
+    ("--range=a:1,0:1", "figure: --range has a bad span 'a:1'"),
+    ("--range=0:inf,0:1", "figure: --range span bounds must be finite, got '0:inf'"),
+    ("--range=-1:1,0:1", "figure: --range spans need 0 <= min <= max, got '-1:1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,message", GRID_AND_RANGE_ERRORS, ids=[flag for flag, _ in GRID_AND_RANGE_ERRORS]
+)
+def test_grid_and_range_errors_name_the_command(tmp_path, capsys, flag, message):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, "figure", "depth", flag, "--out", str(out))
+    assert (code, stdout, err) == (EXIT_CONFIG, "", message + "\n")
     assert not out.exists()
 
 

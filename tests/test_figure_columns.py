@@ -110,15 +110,72 @@ def test_each_figure_evaluates_only_the_pairs_it_writes(tmp_path, capsys, monkey
     capsys.readouterr()
 
 
+def test_stability_solves_no_steady_state(tmp_path, capsys, monkeypatch):
+    references = {
+        flag: reference_table("stability", DEFAULT_CONFIG, [Direction(flag or "forward")])
+        for flag in (None, "backward")
+    }
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_steady_states(*args, **kwargs)
+
+    monkeypatch.setattr("entflow.sweep.solve_steady_states", counted)
+    for flag, reference in references.items():
+        direction = flag or "forward"
+        table, manifest = run_figure(tmp_path, "stability", "--direction", direction)
+        assert calls == []
+        assert table == reference
+        rows = [row.split(",") for row in table.decode("utf-8").splitlines()[1:]]
+        unstable = sum(row[2] == "false" for row in rows)
+        assert manifest["sweeps"] == {
+            direction: {"passes": 1, "stable": 36 - unstable, "unstable": unstable, "failed": 0}
+        }
+        assert manifest["solved_nodes"] == {direction: "none"}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("m", [10, 30])
+def test_each_figure_solves_only_the_block_it_reads(tmp_path, capsys, monkeypatch, m):
+    sizes = []
+
+    def recording(drifts, noise, plan, **kwargs):
+        sizes.append((drifts.shape[-1], plan.solved.size))
+        return solve_steady_states(drifts, noise, plan, **kwargs)
+
+    monkeypatch.setattr("entflow.sweep.solve_steady_states", recording)
+    path = tmp_path / "chain.cfg"
+    path.write_text(f"M = {m}\ngamma = 0.8\ngamma_out = 0.002\n", encoding="utf-8")
+    dim = 2 * m + 2
+    expected = {
+        # forward reads the pair (0, 2): nodes 0-2; backward reads (0, M-1),
+        # whose group, the source's, is the first
+        "nonreciprocity": ([(dim, 6), (dim, dim)], {"forward": [0, 1, 2], "backward": "all"}),
+        "depth": ([(dim, dim)], {"forward": "all"}),
+        "occupation": ([(dim, dim)], {"forward": "all"}),
+        "stability": ([], {"forward": "none"}),
+    }
+    for name, (solves, solved) in expected.items():
+        sizes.clear()
+        _, manifest = run_figure(tmp_path, name, "--config", str(path), "--grid", "3x3")
+        assert sizes == solves, name
+        assert manifest["solved_nodes"] == solved, name
+    capsys.readouterr()
+
+
 def corrupting(node):
     """solve_steady_states, with the source pair (0, node) of the first solved
-    state of every call made not positive definite; no other pair changes."""
+    state of every call that solves ``node`` made not positive definite; no
+    other pair changes."""
 
-    def solve(*args, **kwargs):
-        abscissa, states, errors = solve_steady_states(*args, **kwargs)
-        b = errors.index(None)
-        pair = slice(2 * node, 2 * node + 2)
-        states[b][0:2, pair] = states[b][pair, 0:2] = 5.0 * np.eye(2)
+    def solve(drifts, noise, plan, **kwargs):
+        abscissa, states, errors = solve_steady_states(drifts, noise, plan, **kwargs)
+        if 2 * node in plan.solved:
+            b = errors.index(None)
+            at = int(np.searchsorted(plan.solved, 2 * node))
+            pair = slice(at, at + 2)
+            states[b][0:2, pair] = states[b][pair, 0:2] = 5.0 * np.eye(2)
         return abscissa, states, errors
 
     return solve

@@ -117,6 +117,30 @@ def test_abscissa_and_solve_on_permuted_block_triangular_systems():
         assert np.linalg.norm(v - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
+def test_a_trailing_block_solves_bitwise_as_the_whole_system():
+    rng = np.random.default_rng(505)
+    for sizes in ([1, 2, 3], [4, 1, 1, 2, 2], [2, 2, 2, 4, 3]):
+        a, _ = permuted_block_triangular(rng, sizes)
+        w = rng.normal(size=a.shape)
+        n = w @ w.T + 0.1 * np.eye(a.shape[0])
+        plan = lyapunov.block_plan(a)
+        abscissa, (whole,), _ = lyapunov.solve_steady_states(a[None], n, plan)
+        for index in range(a.shape[0]):
+            sub = plan.trailing([index])
+            kept = sub.solved
+            assert index in kept and np.array_equal(kept, np.sort(plan.order[sub.start :]))
+            # closed: the block's rows read no column outside it
+            outside = np.setdiff1d(np.arange(a.shape[0]), kept)
+            assert not a[np.ix_(kept, outside)].any()
+            absc, (v,), (error,) = lyapunov.solve_steady_states(a[None], n, sub)
+            assert error is None and np.array_equal(absc, abscissa)
+            assert np.array_equal(v, whole[np.ix_(kept, kept)])
+        absc, states, errors = lyapunov.solve_steady_states(a[None], n, plan.trailing([]))
+        assert states.shape == (1, 0, 0) and errors == [None]
+        assert np.array_equal(absc, abscissa)
+        assert np.array_equal(lyapunov.spectral_abscissae(a[None], plan), abscissa)
+
+
 @pytest.mark.parametrize("j", [0.0, 0.5])
 @pytest.mark.parametrize("gamma", [0.0, 0.8])
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)

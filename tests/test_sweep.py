@@ -351,6 +351,52 @@ def test_sweep_grid_rejects_non_finite_values(bad):
         sweep_grid(DEFAULT_CONFIG, [0.1], [bad])
 
 
+# ---------------------------------------------------------------------------
+# the solved block: only the trailing block of the plan that a sweep reads
+
+# r up to 1.2 crosses the instability boundary; j holds 0 and gamma/4
+SUB_R = np.linspace(0.0, 1.2, 7)
+SUB_J = np.array([0.0, 0.1, DEFAULT_CONFIG.gamma / 4.0, 0.5, 0.9])
+
+
+def sub_chain_base(m, chain):
+    """The default chain of m nodes: cold, warm (uniform occupations), or
+    mixed (heterogeneous frequencies and occupations)."""
+    if chain == "warm":
+        return replace(DEFAULT_CONFIG, M=m, nbar_local=0.01, nbar_common=0.02)
+    return oracle_base(m, chain == "mixed")
+
+
+def joined(slices, field):
+    """The column ``field`` over every slice, floats as their bits."""
+    column = [x for columns in slices for x in columns.column(field)]
+    return [x.hex() if isinstance(x, float) else x for x in column]
+
+
+@pytest.mark.parametrize("chain", ["cold", "warm", "mixed"])
+@pytest.mark.parametrize("m", [2, 3, 10, 30])
+def test_forward_pair_sweep_solves_its_upstream_block_bitwise(m, chain):
+    base = sub_chain_base(m, chain)
+    pair = list(sweep_columns(base, SUB_R, SUB_J, Direction.FORWARD, ("en_forward_pair",)))
+    full = list(sweep_columns(base, SUB_R, SUB_J, Direction.FORWARD))
+    assert {columns.nodes for columns in pair} == {(0, 1, 2)}
+    assert {columns.nodes for columns in full} == {tuple(range(m + 1))}
+    for field in ("stable", "physical", "spectral_abscissa", "solver_error", "en_forward_pair"):
+        assert joined(pair, field) == joined(full, field), field
+    stable = joined(full, "stable")
+    assert 0 < sum(stable) < len(stable)
+
+
+def test_run_point_and_sweep_grid_solve_every_node(monkeypatch):
+    calls = counting(monkeypatch, "solve_steady_states")
+    for m in (10, 30):
+        for direction in Direction:
+            run_point(make_net(M=m, r=0.1, j=0.5, direction=direction))
+            sweep_grid(replace(DEFAULT_CONFIG, M=m), [0.1, 0.3], [0.2, 0.6], direction)
+        assert len(calls) == 4 and all(plan.solved.size == 2 * m + 2 for _, _, plan in calls)
+        calls.clear()
+
+
 # r = 0 row, the exceptional point (0, gamma/4) and an unstable r; j = 0
 # splits the source from the chain, which changes the drift's block order
 ORACLE_R = [0.0, 0.15, 0.45, 2.0]
@@ -490,7 +536,7 @@ J_SMALL = [0.2, 0.5, 0.9]
 def table_lines(name, tmp_path, direction=None, base=DEFAULT_CONFIG, r=R_SMALL, j=J_SMALL):
     """export_csv of figure ``name`` as (CSV lines, the rest of what it returns)."""
     path = tmp_path / f"{name}.csv"
-    digest, rows, sweeps = export_csv(name, base, r, j, path, direction)
+    digest, rows, sweeps, _ = export_csv(name, base, r, j, path, direction)
     return path.read_text(encoding="utf-8").splitlines(), (digest, rows, sweeps)
 
 
@@ -562,7 +608,7 @@ def test_unknown_figure_rejected(tmp_path):
 
 def test_export_csv_format(tmp_path):
     path = tmp_path / "pairs.csv"
-    _, rows, _ = export_csv("nonreciprocity", DEFAULT_CONFIG, R_SMALL, J_SMALL, path)
+    _, rows, _, _ = export_csv("nonreciprocity", DEFAULT_CONFIG, R_SMALL, J_SMALL, path)
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode("utf-8").splitlines()
