@@ -35,7 +35,6 @@ from .lyapunov import (
     solve_steady_state_vectorized,
     solve_steady_states,
     spectral_abscissa,
-    spectral_abscissae,
     spectral_decomposition,
     stability_report,
 )

@@ -20,18 +20,20 @@ has one rule, applied by every solve and by ``stability_report``: the
 spectral abscissa must be below -STABILITY_MARGIN.  The solver takes a
 stack of drifts at once (``solve_steady_states``), which is how parameter
 sweeps run; the single-matrix functions are its batch of one.  The block
-order is a ``BlockPlan`` (``block_plan``): a plan built from a nonzero
-pattern serves every drift whose pattern lies within it, so a family of
-drifts, such as a network over its (r, j) grid, shares one.  Which of its
-blocks need a Schur form is decided per drift, by one vectorized
-damped-rotation test over all 2x2 blocks.  A plan may also name a
-trailing block (``BlockPlan.trailing``): the groups of some indices and
-every later group.  That block depends on nothing before it, so its
-Lyapunov equation is closed, and a solve under such a plan reads the
-abscissa off the whole block form but solves that block alone, bitwise as
-the whole solve would.  Besides the drifts, a solve holds two stacks of
-the solved block's shape at once.  A generic Kronecker-vectorized solver,
-(I (x) A + A (x) I) vec(V) = -vec(N), is kept as an independent oracle.
+order is a ``BlockPlan`` (``block_plan``), which every stack solve takes
+from its caller: a plan built from a nonzero pattern serves every drift
+whose pattern lies within it, so a family of drifts, such as a network
+over its (r, j) grid, shares one.  Which of its blocks need a Schur form
+is decided per drift, by one vectorized damped-rotation test over all 2x2
+blocks.  A plan may also name a trailing block (``BlockPlan.trailing``):
+the groups of some indices and every later group.  That block depends on
+nothing before it, so its Lyapunov equation is closed, and a solve under
+such a plan reads the abscissa off the whole block form but solves that
+block alone, bitwise as the whole solve would; with no index named the
+block is empty, and the solve reads the abscissa and solves nothing.
+Besides the drifts, a solve holds two stacks of the solved block's shape
+at once.  A generic Kronecker-vectorized solver, (I (x) A + A (x) I)
+vec(V) = -vec(N), is kept as an independent oracle.
 Every returned matrix is checked against the residual contract
 ||A V + V A^T + N||_max <= 1e-8 * max(1, ||N||_max), on the block solved.
 
@@ -62,7 +64,6 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -118,15 +119,11 @@ class SpectralDecomposition:
     condition_number: float
     reconstruction_error: float
 
-    def accepted(
-        self,
-        condition_limit: float = CONDITION_LIMIT,
-        reconstruction_rtol: float = RECONSTRUCTION_RTOL,
-    ) -> bool:
+    def accepted(self) -> bool:
         """Whether the eigenbasis is trustworthy for spectral formulas."""
         return (
-            self.condition_number <= condition_limit
-            and self.reconstruction_error <= reconstruction_rtol
+            self.condition_number <= CONDITION_LIMIT
+            and self.reconstruction_error <= RECONSTRUCTION_RTOL
         )
 
 
@@ -162,13 +159,11 @@ class BlockPlan:
         start = next((lo for lo, hi in self.blocks if lo <= first < hi), first)
         return BlockPlan(self.order, self.blocks, start)
 
-    @cached_property
+    @property
     def solved(self) -> np.ndarray:
         """The indices whose steady state a solve under this plan returns,
         ascending: the order in which it returns them."""
-        kept = np.zeros(self.order.size, dtype=bool)
-        kept[self.order[self.start :]] = True
-        return np.flatnonzero(kept)
+        return np.sort(self.order[self.start :])
 
 
 def _block_order(a: np.ndarray) -> tuple:
@@ -356,17 +351,9 @@ def spectral_abscissa(a: np.ndarray) -> float:
     A cascade's chain nodes, whose one-way couplings make one large
     defective cluster of the whole drift, never enter an eigensolver.
     """
-    a = _finite(np.asarray(a, dtype=float))
-    return float(spectral_abscissae(a[None], block_plan(a))[0])
-
-
-def spectral_abscissae(a: np.ndarray, plan: BlockPlan) -> np.ndarray:
-    """Spectral abscissa of every drift of the stack ``a`` (B, n, n) under
-    the block plan ``plan`` (whatever block it solves), shape (B,): the
-    abscissa ``solve_steady_states`` decides stability by, without solving
-    anything."""
-    a = _finite(np.asarray(a, dtype=float))
-    return _abscissae(a, plan, _schur_forms(a, plan))
+    a = _finite(np.asarray(a, dtype=float))[None]
+    plan = block_plan(a[0])
+    return float(_abscissae(a, plan, _schur_forms(a, plan))[0])
 
 
 def stability_report(a: np.ndarray) -> StabilityReport:
@@ -453,12 +440,6 @@ def _residual_errors(a: np.ndarray, v: np.ndarray, noise: np.ndarray, label: str
     ]
 
 
-def _check_residual(a: np.ndarray, v: np.ndarray, noise: np.ndarray, label: str) -> None:
-    error = _residual_errors(a[None], v[None], noise[None], label)[0]
-    if error is not None:
-        raise error
-
-
 def solve_steady_state_vectorized(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Steady state via the Kronecker-vectorized linear system.
 
@@ -506,7 +487,9 @@ def solve_steady_state_vectorized(a: np.ndarray, noise: np.ndarray) -> np.ndarra
         )
     v = eye + deviation
     v = (v + v.T) / 2.0
-    _check_residual(a, v, noise, "vectorized")
+    error = _residual_errors(a[None], v[None], noise[None], "vectorized")[0]
+    if error is not None:
+        raise error
     return v
 
 
@@ -532,7 +515,7 @@ def solve_steady_state_spectral(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
     Sylvester operator, and ResidualTooLargeError when the computed matrix
     fails the residual contract.
     """
-    _, states, errors = solve_steady_states(np.asarray(a, dtype=float)[None], noise)
+    _, states, errors = solve_steady_states(np.asarray(a, dtype=float)[None], noise, block_plan(a))
     if errors[0] is not None:
         raise errors[0]
     return states[0]
@@ -541,24 +524,26 @@ def solve_steady_state_spectral(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
 def solve_steady_states(
     a: np.ndarray,
     noise: np.ndarray,
-    plan: BlockPlan | None = None,
+    plan: BlockPlan,
     overwrite_a: bool = False,
 ) -> tuple:
     """Structured steady states of a stack of drifts ``a`` (B, n, n) under
     one diffusion ``noise`` (n, n) or one per drift (B, n, n).
 
     Every drift takes the block form of ``plan`` (see
-    ``solve_steady_state_spectral``); by default, the plan of the stack's
-    union nonzero pattern.  It gives every drift's spectral abscissa, and
-    the stable drifts, those whose abscissa is below -STABILITY_MARGIN, go
-    on to the triangular Sylvester solve, one dtrsyl call each; every other
-    step acts on the whole stack at once.  Each drift's result depends on
-    that drift and the plan alone, never on the rest of the stack.
+    ``solve_steady_state_spectral``), which must serve the nonzero pattern
+    of every drift of the stack (``block_plan``).  It gives every drift's
+    spectral abscissa, and the stable drifts, those whose abscissa is below
+    -STABILITY_MARGIN, go on to the triangular Sylvester solve, one dtrsyl
+    call each; every other step acts on the whole stack at once.  Each
+    drift's result depends on that drift and the plan alone, never on the
+    rest of the stack.
 
     The abscissa is read off the whole block form; the solve covers only
     the plan's trailing block (``BlockPlan.trailing``), which is closed, so
     its states are bitwise those of the whole solve there, and the residual
-    contract is checked on that block (its own N for the bound).
+    contract is checked on that block (its own N for the bound).  An empty
+    block solves nothing: the abscissa alone makes the result.
 
     The solve holds two stacks of the shape of the solved block: the drifts
     in the block order, brought to Schur form and back, which ends up
@@ -574,8 +559,6 @@ def solve_steady_states(
     errors[b] is None and undefined otherwise.
     """
     a = _finite(np.asarray(a, dtype=float))
-    if plan is None:
-        plan = block_plan((a != 0).any(axis=0))
     groups = _schur_forms(a, plan)
     abscissa = _abscissae(a, plan, groups)
     stable = abscissa < -STABILITY_MARGIN

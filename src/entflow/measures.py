@@ -34,6 +34,8 @@ from .errors import (
 
 # Relative round-off tolerance of certify_physicality (see there).
 CERTIFICATE_RTOL = 1e-12
+# Tolerance of check_physical, relative to the matrix magnitude.
+PHYSICAL_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -223,18 +225,18 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     return moduli.reshape(n_modes, 2).mean(axis=1)
 
 
-def check_physical(v: np.ndarray, atol: float = 1e-8) -> PhysicalityReport:
+def check_physical(v: np.ndarray) -> PhysicalityReport:
     """Two-part physicality test of a covariance matrix.
 
     Physical means V is positive semidefinite and every symplectic
-    eigenvalue of V/2 is >= 1/2, both up to ``atol`` scaled by the matrix
-    magnitude.
+    eigenvalue of V/2 is >= 1/2, both up to PHYSICAL_ATOL = 1e-8 scaled by
+    the matrix magnitude.
     """
     v = np.asarray(v, dtype=float)
     sym = (v + v.T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym).min())
     min_nu = float(symplectic_eigenvalues(sym).min())
-    tol = atol * max(1.0, float(np.abs(sym).max()))
+    tol = PHYSICAL_ATOL * max(1.0, float(np.abs(sym).max()))
     return PhysicalityReport(
         physical=(min_eig >= -tol and min_nu >= 0.5 - tol),
         min_eigenvalue=min_eig,

@@ -142,6 +142,10 @@ def config_violations(cfg: NetworkConfig) -> list:
     """Return every contract violation in ``cfg`` as a list of ConfigError
     instances (empty when the configuration is valid)."""
     problems: list = []
+    if not isinstance(cfg.direction, Direction):
+        problems.append(
+            ConfigError(f"direction must be a Direction member, got {cfg.direction!r}")
+        )
     if not _is_integral(cfg.M):
         problems.append(ConfigError(f"M must be an integer, got {cfg.M!r}"))
         return problems
@@ -279,17 +283,6 @@ def build_drift_stack(net: ValidatedNetwork, r, j) -> np.ndarray:
 def _coupled_node(net: ValidatedNetwork) -> int:
     """The chain node the source couples to: the head (Forward) or the tail."""
     return 1 if net.direction is Direction.FORWARD else net.M
-
-
-def source_coupling(net: ValidatedNetwork) -> np.ndarray:
-    """The drift's derivative in j: i*sigma_y between the source and the
-    chain node it couples to, in both blocks.  Every drift of
-    ``build_drift_stack`` is its j = 0 drift plus j times this matrix."""
-    c = np.zeros((net.dim, net.dim))
-    end = 2 * _coupled_node(net)
-    c[0:2, end : end + 2] = I_SIGMA_Y
-    c[end : end + 2, 0:2] = I_SIGMA_Y
-    return c
 
 
 def build_noise_matrix(net: ValidatedNetwork) -> np.ndarray:

@@ -10,13 +10,13 @@ Only the source block of the drift depends on (r, j), so the grid is
 carried as a leading batch axis: one stack of drifts, stability from the
 same per-block factorization the solve uses, a triangular Sylvester solve
 for the stable points only, and the source-pair entanglements from stacked
-closed forms.  One block plan serves the whole network: its nonzero pattern
-with the source coupling holds every grid point's, j = 0 included.  The
-batch is cut into slices under a fixed working-set budget, counted from the
-stacks the engine holds at once.  Stability is read off the whole block
-form, by the solve's own rule.  Physicality does not depend on (r, j) at
-all: one certificate of the generator (``certify_physicality``) per sweep
-decides it for every solved point.  The certificate holds for every valid
+closed forms.  One block plan serves the whole network: the nonzero
+pattern of its drift at j = 1 holds every grid point's, j = 0 included.
+The batch is cut into slices under a fixed working-set budget, counted
+from the stacks the engine holds at once.  Stability is read off the whole
+block form, by the solve's own rule.  Physicality does not depend on
+(r, j) at all: one certificate of the generator (``certify_physicality``)
+per sweep decides it for every solved point.  The certificate holds for every valid
 network with dissipation, and a network without any has no stable point.
 
 Transport is one-way, so a node's state depends only on the nodes upstream
@@ -27,8 +27,9 @@ bitwise those of the whole solve, and the residual contract is checked on
 that block, so a point whose solve would fail only outside it is not
 failed.  Forward, the pair (0, 2) needs nodes 0-2 alone; backward, the
 source's group is the first, so any pair solves every node, as the depth
-scan does.  A sweep that reads no node solves nothing: the abscissa decides
-stable, and physical is stable and the certificate.
+scan does.  A sweep that reads no node runs the same solve on an empty
+block: the abscissa decides stable, and physical is stable and the
+certificate.
 
 The engine hands back each slice as columns (``SweepColumns``): r, j,
 stable, physical, the spectral abscissa, each point's failure, and only the
@@ -37,17 +38,17 @@ optional fields that were asked for (``sweep_columns``).  One table
 ``figure_dataset`` sweeps a figure asking only for the fields it writes:
 ``nonreciprocity`` the pair (0, 2) forward (solving nodes 0-2) and
 (0, M-1) backward, ``depth`` and ``occupation`` the depth scan over every
-node, ``stability`` no pair at all, so it solves no steady state and never
-fails.  ``export_csv``, the one figure writer, streams each slice's rows to
-the CSV as soon as it is computed, so its memory does not grow with the
-grid.  A figure cell is empty when its point is unstable, or when the
-point's solve or the quantity the figure writes failed; a pair the figure
-does not write is never evaluated, and a node it does not read is never
-solved, so their failures blank nothing.  ``sweep_grid``
-asks for every field and keeps one PointResult per point, whose
-``solver_error`` is the first failure of any of them; ``run_point`` is the
-one-point sweep, through the same setup and plan, and a point's result
-never depends on the batch it was computed in.  Each slice builds its own
+node, ``stability`` no pair at all, so its solve is of an empty block and
+never fails.  ``export_csv``, the one figure writer, streams each slice's
+rows to the CSV as soon as it is computed, so its memory does not grow
+with the grid.  A figure cell is empty when its point is unstable, or when
+the point's solve or the quantity the figure writes failed; a pair the
+figure does not write is never evaluated, and a node it does not read is
+never solved, so their failures blank nothing.  ``sweep_grid`` asks for
+every field and keeps one PointResult per point, whose ``solver_error`` is
+the first failure of any of them; ``run_point`` is the one-point sweep,
+through the same setup and plan, and a point's result never depends on
+the batch it was computed in.  Each slice builds its own
 drift stack and frees it right after the solve, so the measures never
 hold it, on every supported Python.
 
@@ -70,7 +71,6 @@ from .lyapunov import (
     BlockPlan,
     block_plan,
     solve_steady_states,
-    spectral_abscissae,
 )
 from .measures import _indefinite_pair, certify_physicality, pair_log_negativities
 from .network import (
@@ -78,9 +78,7 @@ from .network import (
     NetworkConfig,
     ValidatedNetwork,
     build_drift_stack,
-    build_dynamical_matrix,
     build_noise_matrix,
-    source_coupling,
     validate_config,
 )
 
@@ -163,8 +161,8 @@ class PointResult:
     (``certify_physicality``) at every stable point whose solve and pairs
     succeeded, and False elsewhere.  The computed block is still held to the
     solver's residual contract, and a failed pair goes to ``solver_error``.
-    A sweep that reads no node (the ``stability`` figure) solves nothing, so
-    there ``physical`` is stable and the certificate.
+    A sweep that reads no node (the ``stability`` figure) solves an empty
+    block, so there ``physical`` is stable and the certificate.
 
     Fields after ``spectral_abscissa`` are None when undefined: every
     steady-state quantity for unstable or failed points, the pair
@@ -318,18 +316,14 @@ def _columns(
     first one in the order solve, source-pair entanglement.  Only the pairs
     ``wanted`` needs are evaluated, and only the trailing block of ``plan``
     that holds them is solved, so a failure anywhere else goes unseen; with
-    no pair, nothing is solved and the abscissa alone decides the point.
+    no pair, that block is empty and the abscissa alone decides the point.
     """
     depth = net.direction is Direction.FORWARD and not set(_DEPTH_FIELDS).isdisjoint(wanted)
     nodes = _source_pairs(net, wanted, depth)
     read = (0, *nodes) if nodes else ()
     plan = plan.trailing([q for k in read for q in (2 * k, 2 * k + 1)])
     drifts = build_drift_stack(net, r, j)
-    if read:
-        abscissa, states, errors = solve_steady_states(drifts, noise, plan, overwrite_a=True)
-    else:
-        abscissa = spectral_abscissae(drifts, plan)
-        states, errors = np.empty((r.size, 0, 0)), [None] * r.size
+    abscissa, states, errors = solve_steady_states(drifts, noise, plan, overwrite_a=True)
     # drop the solve's scratch (in the drifts' memory) and, below, the
     # unsolved states, so that the measures hold only the solved states and
     # the pair kernel
@@ -390,14 +384,14 @@ def _slices(net: ValidatedNetwork, r_values: np.ndarray, j_values: np.ndarray, w
     (in units of ``net``'s frequency, j fastest) in slices of at most a fixed
     working set, under one block plan and one physicality certificate."""
     noise = build_noise_matrix(net)
-    drift = build_dynamical_matrix(net)
+    # Only the source's rows and columns depend on (r, j).  The pattern of
+    # the drift at j = 1 contains every grid point's (j = 0 only removes the
+    # coupling, and r acts on the diagonal), so one plan is block triangular
+    # for all of them, and j = 0 points share the plan of the rest.  The
+    # coupling is Hamiltonian, so the certificate does not depend on j.
+    drift = build_drift_stack(net, [net.r], [1.0])[0]
     certified = certify_physicality(drift, noise)
-    # Only the source's rows and columns depend on (r, j).  With the source
-    # coupling in it, the pattern contains every grid point's (j = 0 only
-    # removes that coupling, and r acts on the diagonal), so one plan is
-    # block triangular for all of them, and j = 0 points share the plan of
-    # the rest.
-    plan = block_plan(drift + source_coupling(net))
+    plan = block_plan(drift)
     del drift
     step = max(1, _BATCH_BYTES // (_STACKS_PER_POINT * 8 * net.dim * net.dim))
     n_j = j_values.size

@@ -124,8 +124,9 @@ def test_stability_solves_no_steady_state(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("entflow.sweep.solve_steady_states", counted)
     for flag, reference in references.items():
         direction = flag or "forward"
+        calls.clear()
         table, manifest = run_figure(tmp_path, "stability", "--direction", direction)
-        assert calls == []
+        assert calls and all(plan.solved.size == 0 for _, _, plan in calls)
         assert table == reference
         rows = [row.split(",") for row in table.decode("utf-8").splitlines()[1:]]
         unstable = sum(row[2] == "false" for row in rows)
@@ -154,7 +155,7 @@ def test_each_figure_solves_only_the_block_it_reads(tmp_path, capsys, monkeypatc
         "nonreciprocity": ([(dim, 6), (dim, dim)], {"forward": [0, 1, 2], "backward": "all"}),
         "depth": ([(dim, dim)], {"forward": "all"}),
         "occupation": ([(dim, dim)], {"forward": "all"}),
-        "stability": ([], {"forward": "none"}),
+        "stability": ([(dim, 0)], {"forward": "none"}),
     }
     for name, (solves, solved) in expected.items():
         sizes.clear()

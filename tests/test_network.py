@@ -69,6 +69,18 @@ def test_integral_node_count_accepted(m):
     assert validate_config(replace(DEFAULT_CONFIG, M=m)).M == 10
 
 
+@pytest.mark.parametrize("direction", ["forward", "sideways", None, 1])
+def test_direction_must_be_a_member(direction):
+    # the string "forward" is not Direction.FORWARD: accepting it would
+    # solve the Backward layout
+    cfg = replace(DEFAULT_CONFIG, r=0.1, j=0.5, direction=direction)
+    problems = config_violations(cfg)
+    assert len(problems) == 1
+    assert type(problems[0]) is ConfigError and "direction" in str(problems[0])
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+
+
 @pytest.mark.parametrize("field", ["r", "j", "gamma", "gamma_out"])
 def test_negative_rate_rejected(field):
     with pytest.raises(NegativeRateError):

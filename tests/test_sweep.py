@@ -20,6 +20,8 @@ from entflow import (
     Direction,
     ResidualTooLargeError,
     SweepGrid,
+    block_plan,
+    build_drift_stack,
     build_dynamical_matrix,
     build_noise_matrix,
     certify_physicality,
@@ -269,6 +271,30 @@ def test_block_plan_is_built_once_per_sweep(monkeypatch):
     assert len(plans) == 1
     run_point(make_net(r=0.1, j=0.0))
     assert len(plans) == 2
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("j", [0.0, 0.5])
+@pytest.mark.parametrize("gamma", [0.0, 0.8])
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 39])
+def test_the_j_one_drift_plans_and_certifies_as_drift_plus_coupling(m, direction, gamma, j, warm):
+    # a sweep takes its plan and its certificate from the drift at j = 1;
+    # the reference adds i sigma_y between the source and the node it
+    # couples to, in both blocks, to the drift at the network's own j
+    base = replace(oracle_base(m, warm), r=0.3, j=j, gamma=gamma, direction=direction)
+    net = validate_config(base)
+    end = 2 if direction is Direction.FORWARD else 2 * m
+    coupling = np.zeros((net.dim, net.dim))
+    coupling[0:2, end : end + 2] = coupling[end : end + 2, 0:2] = [[0.0, 1.0], [-1.0, 0.0]]
+    reference = build_dynamical_matrix(net) + coupling
+    drift = build_drift_stack(net, [net.r], [1.0])[0]
+    plan, expected = block_plan(drift), block_plan(reference)
+    assert np.array_equal(plan.order, expected.order)
+    assert (plan.blocks, plan.start) == (expected.blocks, expected.start)
+    noise = build_noise_matrix(net)
+    for diffusion in (noise, noise / 2.0):
+        assert certify_physicality(drift, diffusion) == certify_physicality(reference, diffusion)
 
 
 @pytest.mark.parametrize("m,points", [(10, 180), (30, 22)])
