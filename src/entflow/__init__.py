@@ -48,13 +48,10 @@ from .measures import (
     mean_occupation,
     pair_log_negativities,
     ppt_symplectic_min,
-    reduce_single_mode,
     reduce_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
-    thermal_covariance,
     two_mode_squeezed_covariance,
-    vacuum_covariance,
 )
 from .sweep import (
     ENTANGLEMENT_THRESHOLD,

@@ -11,8 +11,11 @@ name must be written in full.  ``entflow --help`` and ``entflow COMMAND
 
 Exit codes: 0 success (an unstable operating point is a finding, not an
 error), 1 selftest failure, 2 configuration or usage error, 3 solver
-failure, 4 I/O failure.  ``main`` alone turns a raised error into its exit
-code; a usage error is a ConfigError like any other.
+failure, 4 I/O failure.  ``main`` alone decides what an error prints and
+its exit code; the commands only raise.  A usage error, a config-file
+error and the configuration's violations are each one ConfigError, the
+violations all together as one ``config: ...`` line each, and print their
+message and exit 2.
 """
 
 from __future__ import annotations
@@ -63,7 +66,9 @@ def _fmt(value: float) -> str:
 
 
 def _load_base_config(args):
-    """Config file layered under CLI overrides; raises ConfigError."""
+    """Config file layered under CLI overrides.  Raises ConfigError: the
+    file's own, or one holding every violation of the layered config as a
+    ``config: ...`` line."""
     cfg = load_config_file(args.config) if args.config else DEFAULT_CONFIG
     overrides = {}
     if getattr(args, "r", None) is not None:
@@ -72,21 +77,15 @@ def _load_base_config(args):
         overrides["j"] = args.j
     if getattr(args, "direction", None):
         overrides["direction"] = Direction(args.direction)
-    return replace(cfg, **overrides)
-
-
-def _report_config_problems(cfg) -> bool:
+    cfg = replace(cfg, **overrides)
     problems = config_violations(cfg)
-    for problem in problems:
-        print(f"config: {problem}", file=sys.stderr)
-    return bool(problems)
+    if problems:
+        raise ConfigError("\n".join(f"config: {problem}" for problem in problems))
+    return cfg
 
 
 def cmd_point(args) -> int:
-    cfg = _load_base_config(args)
-    if _report_config_problems(cfg):
-        return EXIT_CONFIG
-    net = validate_config(cfg)
+    net = validate_config(_load_base_config(args))
     result = run_point(net)
 
     print(
@@ -218,12 +217,10 @@ def cmd_figure(args) -> int:
     cfg = _load_base_config(args)
     n_r, n_j = args.grid
     (r_lo, r_hi), (j_lo, j_hi) = args.value_range
-    if _report_config_problems(cfg):
-        return EXIT_CONFIG
-
     r_values = np.linspace(r_lo, r_hi, n_r)
     j_values = np.linspace(j_lo, j_hi, n_j)
-    direction = Direction(args.direction) if args.direction else None
+    # a figure sweeps its default direction unless --direction names one
+    direction = cfg.direction if args.direction else None
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
     manifest_path = out.with_name(out.name + ".manifest.json")
     try:

@@ -1,10 +1,12 @@
-"""Gaussian-state measures: reductions, entanglement, physicality, occupation.
+"""Gaussian-state measures: two-mode reduction, entanglement, physicality,
+occupation.
 
 All functions take covariance matrices in the vacuum-equals-identity
-convention of :mod:`entflow.network`.  Separability and physicality
-thresholds are stated in the literature for half that normalization, so the
-measures divide by two internally (sigma = V/2) and the usual 1/2 thresholds
-apply verbatim.
+convention of :mod:`entflow.network` (a thermal mode is (2 nbar + 1) I2),
+and raise IndexError for a mode index out of range.  Separability and
+physicality thresholds are stated in the literature for half that
+normalization, so the measures divide by two internally (sigma = V/2) and
+the usual 1/2 thresholds apply verbatim.
 
 Entanglement reads symplectic spectra off one construction: the Cholesky
 factor sigma = L L^T and the antisymmetric form L^T Omega L, whose singular
@@ -49,10 +51,10 @@ class EntanglementRecord:
 
 @dataclass(frozen=True)
 class PhysicalityReport:
-    """Outcome of the two-part physicality test."""
+    """Outcome of the two-part physicality test, with the smallest
+    symplectic eigenvalue of V/2."""
 
     physical: bool
-    min_eigenvalue: float
     min_symplectic: float
 
 
@@ -69,13 +71,6 @@ def _check_mode_index(v: np.ndarray, k: int) -> None:
     n_modes = v.shape[-1] // 2
     if not 0 <= k < n_modes:
         raise IndexError(f"mode index {k} out of range for {n_modes} modes")
-
-
-def reduce_single_mode(v: np.ndarray, k: int) -> np.ndarray:
-    """The 2x2 covariance block of mode k."""
-    v = np.asarray(v, dtype=float)
-    _check_mode_index(v, k)
-    return v[2 * k : 2 * k + 2, 2 * k : 2 * k + 2].copy()
 
 
 def reduce_two_mode(v: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -200,7 +195,9 @@ def pair_log_negativities(v: np.ndarray, k: int, nodes) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     for m in (k, *nodes):
         _check_mode_index(v, m)
-    modes = np.array([[2 * k, 2 * k + 1, 2 * m, 2 * m + 1] for m in nodes])
+    # (0, 4) for no nodes, so that the result is (B, 0)
+    modes = np.array([[2 * k, 2 * k + 1, 2 * m, 2 * m + 1] for m in nodes], dtype=int)
+    modes = modes.reshape(-1, 4)
     sigma = v[:, modes[:, :, None], modes[:, None, :]] / 2.0
     return _log_negativity(_pt_nu_minus(sigma))
 
@@ -239,7 +236,6 @@ def check_physical(v: np.ndarray) -> PhysicalityReport:
     tol = PHYSICAL_ATOL * max(1.0, float(np.abs(sym).max()))
     return PhysicalityReport(
         physical=(min_eig >= -tol and min_nu >= 0.5 - tol),
-        min_eigenvalue=min_eig,
         min_symplectic=min_nu,
     )
 
@@ -303,9 +299,11 @@ def mean_occupation(v: np.ndarray, k: int) -> float:
     """Mean excitation number of mode k: (Tr V^(k) - 2)/4.
 
     A thermal block (2 nbar + 1) I2 returns nbar; the vacuum returns 0.
+    Raises IndexError when mode k does not exist.
     """
-    block = reduce_single_mode(v, k)
-    return (float(np.trace(block)) - 2.0) / 4.0
+    v = np.asarray(v, dtype=float)
+    _check_mode_index(v, k)
+    return (float(v[2 * k, 2 * k] + v[2 * k + 1, 2 * k + 1]) - 2.0) / 4.0
 
 
 def effective_temperature(nbar: float, omega_phys: float) -> float:
@@ -326,16 +324,6 @@ def effective_temperature(nbar: float, omega_phys: float) -> float:
     return scipy.constants.hbar * omega_phys / (
         scipy.constants.k * math.log1p(1.0 / nbar)
     )
-
-
-def vacuum_covariance(n_modes: int) -> np.ndarray:
-    """Vacuum covariance matrix (the identity)."""
-    return np.eye(2 * n_modes)
-
-
-def thermal_covariance(nbar: float) -> np.ndarray:
-    """Single-mode thermal covariance matrix (2 nbar + 1) I2."""
-    return (2.0 * nbar + 1.0) * np.eye(2)
 
 
 def two_mode_squeezed_covariance(s: float) -> np.ndarray:

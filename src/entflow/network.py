@@ -138,14 +138,21 @@ def _is_integral(value) -> bool:
     )
 
 
+def direction_violation(direction) -> ConfigError | None:
+    """The ConfigError of a ``direction`` that is not a Direction member
+    (a string such as "forward" is not one); None for a member."""
+    if isinstance(direction, Direction):
+        return None
+    return ConfigError(f"direction must be a Direction member, got {direction!r}")
+
+
 def config_violations(cfg: NetworkConfig) -> list:
     """Return every contract violation in ``cfg`` as a list of ConfigError
     instances (empty when the configuration is valid)."""
     problems: list = []
-    if not isinstance(cfg.direction, Direction):
-        problems.append(
-            ConfigError(f"direction must be a Direction member, got {cfg.direction!r}")
-        )
+    direction = direction_violation(cfg.direction)
+    if direction is not None:
+        problems.append(direction)
     if not _is_integral(cfg.M):
         problems.append(ConfigError(f"M must be an integer, got {cfg.M!r}"))
         return problems

@@ -44,7 +44,10 @@ rows to the CSV as soon as it is computed, so its memory does not grow
 with the grid.  A figure cell is empty when its point is unstable, or when
 the point's solve or the quantity the figure writes failed; a pair the
 figure does not write is never evaluated, and a node it does not read is
-never solved, so their failures blank nothing.  ``sweep_grid`` asks for
+never solved, so their failures blank nothing.  A bad figure, direction
+or grid is a ConfigError before any work; a direction must first be a
+Direction member, the rule ``config_violations`` applies to a
+configuration, and then one the figure sweeps.  ``sweep_grid`` asks for
 every field and keeps one PointResult per point, whose ``solver_error`` is
 the first failure of any of them; ``run_point`` is the one-point sweep,
 through the same setup and plan, and a point's result never depends on
@@ -79,6 +82,7 @@ from .network import (
     ValidatedNetwork,
     build_drift_stack,
     build_noise_matrix,
+    direction_violation,
     validate_config,
 )
 
@@ -193,12 +197,11 @@ class SweepGrid:
     base: NetworkConfig
     direction: Direction
     results: tuple
-    passes: int | None = None  # solver passes (slices) of the sweep
 
 
-def max_entangled_node(v: np.ndarray, threshold: float = ENTANGLEMENT_THRESHOLD) -> int:
+def max_entangled_node(v: np.ndarray) -> int:
     """Largest chain index m with E_N between source and node m above
-    ``threshold``; 0 when no node is entangled.
+    ENTANGLEMENT_THRESHOLD; 0 when no node is entangled, or there is none.
 
     Scans every node rather than assuming entanglement depth is contiguous.
     Raises ComplexEigenvalueError when a pair's partially transposed
@@ -208,14 +211,14 @@ def max_entangled_node(v: np.ndarray, threshold: float = ENTANGLEMENT_THRESHOLD)
     en = pair_log_negativities(np.asarray(v, dtype=float)[None], 0, nodes)
     if np.isnan(en).any():
         raise _indefinite_pair()
-    return int(_deepest(en, threshold)[0])
+    return int(_deepest(en)[0])
 
 
-def _deepest(en: np.ndarray, threshold: float) -> np.ndarray:
-    """Per row of E_N over nodes 1..M, the deepest node above threshold."""
-    above = en > threshold
-    depth = above.shape[1] - np.argmax(above[:, ::-1], axis=1)
-    return np.where(above.any(axis=1), depth, 0)
+def _deepest(en: np.ndarray) -> np.ndarray:
+    """Per row of E_N over nodes 1..M, the deepest node above
+    ENTANGLEMENT_THRESHOLD, 0 when there is none."""
+    above = en > ENTANGLEMENT_THRESHOLD
+    return (above * np.arange(1, above.shape[1] + 1)).max(axis=1, initial=0)
 
 
 POINT_FIELDS = tuple(field.name for field in fields(PointResult))
@@ -353,7 +356,7 @@ def _columns(
         if field in wanted:
             values[field] = at_every_point(en[:, nodes.index(node)])
     if depth:
-        m_max = _deepest(en, ENTANGLEMENT_THRESHOLD)
+        m_max = _deepest(en)
         k, rows = 2 * np.searchsorted(held, m_max), np.arange(len(solved))
         values["m_max"] = at_every_point(m_max)
         values["nbar_at_mmax"] = at_every_point(
@@ -424,18 +427,19 @@ def sweep_columns(
     """The sweep of ``sweep_grid`` slice by slice, as SweepColumns, with
     only the optional PointResult fields in ``wanted`` computed.
 
-    The grid is checked at once; the slices are computed one at a time as
+    The grid is checked at once (ConfigError for an empty, non-finite or
+    negative grid); the slices are computed one at a time as
     they are iterated, so a caller that keeps none of them holds one slice's
     working set whatever the size of the grid.
     """
     r_values = np.asarray(r_values, dtype=float)
     j_values = np.asarray(j_values, dtype=float)
     if r_values.size == 0 or j_values.size == 0:
-        raise ValueError("sweep grids must be nonempty")
+        raise ConfigError("sweep grids must be nonempty")
     if not (np.isfinite(r_values).all() and np.isfinite(j_values).all()):
         raise ConfigError("sweep grid values must be finite")
     if (r_values < 0).any() or (j_values < 0).any():
-        raise ValueError("sweep grid values must be >= 0")
+        raise ConfigError("sweep grid values must be >= 0")
     direction = base.direction if direction is None else direction
 
     # the first point's configuration, so an invalid base fails as it would there
@@ -464,10 +468,8 @@ def sweep_grid(
     j_values = np.asarray(j_values, dtype=float)
     direction = base.direction if direction is None else direction
     flat = []
-    passes = 0
     for columns in sweep_columns(base, r_values, j_values, direction):
         flat.extend(columns.results())
-        passes += 1
 
     n_j = j_values.size
     rows = tuple(tuple(flat[i * n_j : (i + 1) * n_j]) for i in range(r_values.size))
@@ -477,7 +479,6 @@ def sweep_grid(
         base=base,
         direction=direction,
         results=rows,
-        passes=passes,
     )
 
 
@@ -511,12 +512,17 @@ def figure_dataset(
 
     ``direction`` None is the figure's default, forward, whatever the
     direction of ``base``.  The figure, the direction and the grid are
-    checked at once (ConfigError; ValueError for an empty or negative
-    grid); the slices are computed as they are iterated.
+    checked at once, each with a ConfigError: a direction first by the
+    rule ``config_violations`` applies (it must be a Direction member),
+    then against the directions the figure sweeps.  The slices are
+    computed as they are iterated.
     """
     if name not in _FIGURES:
         raise ConfigError(f"unknown figure '{name}', expected one of {FIGURE_NAMES}")
     figure = _FIGURES[name]
+    problem = None if direction is None else direction_violation(direction)
+    if problem is not None:
+        raise problem
     if figure.every_direction:
         if direction is not None:
             raise ConfigError(

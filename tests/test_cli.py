@@ -143,6 +143,26 @@ def test_point_non_finite_config_file_exits_2(tmp_path, capsys, line):
     assert "finite" in err
 
 
+TWO_VIOLATIONS = (
+    "config: gamma must be >= 0, got -1.0\n"
+    "config: nbar_local: expected length 4, got 2\n"
+)
+
+
+@pytest.mark.parametrize("command", ["point", "figure"])
+def test_every_config_violation_is_reported(tmp_path, capsys, command):
+    # all of them at once, one line each, from main alone
+    config = tmp_path / "net.cfg"
+    config.write_text("M = 3\ngamma = -1\nnbar_local = 1, 2\n", encoding="utf-8")
+    argv = {
+        "point": ("point",),
+        "figure": ("figure", "depth", "--grid", "2x2", "--out", str(tmp_path / "x.csv")),
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--config", str(config))
+    assert (code, out, err) == (EXIT_CONFIG, "", TWO_VIOLATIONS)
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_point_whole_number_float_m_is_the_integer_chain(tmp_path, capsys):
     # the config file leaves whether M is whole to config_violations, as
     # NetworkConfig does, so M = 10.0 is the 10-node chain

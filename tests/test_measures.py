@@ -22,15 +22,13 @@ from entflow import (
     effective_temperature,
     log_negativity,
     mean_occupation,
+    pair_log_negativities,
     ppt_symplectic_min,
-    reduce_single_mode,
     reduce_two_mode,
     solve_steady_state_spectral,
     symplectic_eigenvalues,
     symplectic_form,
-    thermal_covariance,
     two_mode_squeezed_covariance,
-    vacuum_covariance,
     validate_config,
 )
 
@@ -57,13 +55,15 @@ def test_symplectic_form_properties():
     assert_allclose(omega[0:2, 0:2], [[0.0, 1.0], [-1.0, 0.0]])
 
 
-def test_reduce_single_mode_picks_block():
+def test_mean_occupation_reads_the_mode_block():
     v = np.arange(36.0).reshape(6, 6)
-    assert_allclose(reduce_single_mode(v, 1), [[14.0, 15.0], [20.0, 21.0]])
+    for k in range(3):
+        block = v[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+        assert mean_occupation(v, k) == (np.trace(block) - 2.0) / 4.0
     with pytest.raises(IndexError):
-        reduce_single_mode(v, 3)
+        mean_occupation(v, 3)
     with pytest.raises(IndexError):
-        reduce_single_mode(v, -1)
+        mean_occupation(v, -1)
 
 
 def test_reduce_two_mode_blocks_and_swap():
@@ -108,8 +108,6 @@ def test_two_mode_matrix_is_symmetric():
 
 
 def test_state_factories():
-    assert_allclose(vacuum_covariance(3), np.eye(6))
-    assert_allclose(thermal_covariance(0.7), 2.4 * np.eye(2))
     v = two_mode_squeezed_covariance(0.5)
     assert_allclose(v[0:2, 0:2], math.cosh(1.0) * np.eye(2))
     assert_allclose(v[0:2, 2:4], math.sinh(1.0) * np.diag([1.0, -1.0]))
@@ -126,8 +124,8 @@ def test_tmsv_closed_forms(s):
 
 def test_vacuum_and_product_states_are_separable():
     for v in (np.eye(4), np.block([
-        [thermal_covariance(0.3), np.zeros((2, 2))],
-        [np.zeros((2, 2)), thermal_covariance(1.1)],
+        [1.6 * np.eye(2), np.zeros((2, 2))],
+        [np.zeros((2, 2)), 3.2 * np.eye(2)],
     ])):
         record = log_negativity(v)
         assert record.separable
@@ -200,6 +198,14 @@ def test_subnormal_coupling_raises_no_warning():
         assert log_negativity(reduce_two_mode(v, 0, 1)).log_negativity == 0.0
 
 
+def test_pair_log_negativities_of_no_nodes_is_empty():
+    # no probe node: one empty row per state, not an IndexError
+    v = np.stack([np.eye(6), 2.0 * np.eye(6)])
+    en = pair_log_negativities(v, 0, [])
+    assert en.shape == (2, 0) and en.dtype == float
+    assert pair_log_negativities(v, 0, [1, 2]).shape == (2, 2)
+
+
 def test_chain_pair_entanglement_from_steady_state():
     v = steady_state(r=0.1, j=0.5)
     near = log_negativity(reduce_two_mode(v, 0, 2))
@@ -216,7 +222,7 @@ def test_chain_pair_entanglement_from_steady_state():
 def test_symplectic_eigenvalues_vacuum_and_thermal():
     assert_allclose(symplectic_eigenvalues(np.eye(6)), 0.5)
     assert_allclose(
-        symplectic_eigenvalues(thermal_covariance(0.7)), [1.2], atol=1e-12
+        symplectic_eigenvalues(2.4 * np.eye(2)), [1.2], atol=1e-12
     )
 
 
@@ -330,7 +336,7 @@ def test_certificate_without_dissipation_is_not_given():
 
 def test_mean_occupation_closed_forms():
     assert mean_occupation(np.eye(2), 0) == 0.0
-    assert mean_occupation(thermal_covariance(0.7), 0) == pytest.approx(0.7)
+    assert mean_occupation(2.4 * np.eye(2), 0) == pytest.approx(0.7)
     s = 0.8
     squeezed = np.diag([math.exp(2.0 * s), math.exp(-2.0 * s)])
     assert mean_occupation(squeezed, 0) == pytest.approx(math.sinh(s) ** 2, abs=1e-12)

@@ -25,6 +25,7 @@ from entflow import (
     build_dynamical_matrix,
     build_noise_matrix,
     certify_physicality,
+    config_violations,
     export_csv,
     figure_dataset,
     log_negativity,
@@ -72,11 +73,9 @@ def test_max_entangled_node_finds_noncontiguous_partner():
     assert max_entangled_node(v) == 3
 
 
-def test_max_entangled_node_threshold_semantics():
-    v = planted_pair_state(4, partner=2, s=0.3)
-    assert max_entangled_node(v, threshold=0.5) == 2
-    # E_N = 0.6 for this pair; an impossible threshold suppresses it
-    assert max_entangled_node(v, threshold=1.0) == 0
+def test_max_entangled_node_without_chain_nodes_is_zero():
+    # the source alone: no node to scan, so none is entangled
+    assert max_entangled_node(np.eye(2)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,8 @@ def test_block_plan_is_built_once_per_sweep(monkeypatch):
     plans = counting(monkeypatch, "block_plan")
     # a working set too small for two points: every slice holds one point
     monkeypatch.setattr("entflow.sweep._BATCH_BYTES", 1)
-    grid = sweep_grid(DEFAULT_CONFIG, [0.0, 0.1, 0.3], [0.0, 0.5, 0.9, 1.2])
-    assert grid.passes == 12
+    slices = list(sweep_columns(DEFAULT_CONFIG, [0.0, 0.1, 0.3], [0.0, 0.5, 0.9, 1.2]))
+    assert len(slices) == 12
     assert len(plans) == 1
     run_point(make_net(r=0.1, j=0.0))
     assert len(plans) == 2
@@ -363,9 +362,9 @@ def test_sweep_grid_shape_and_axes():
 
 
 def test_sweep_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sweep grids must be nonempty"):
         sweep_grid(DEFAULT_CONFIG, [], [0.1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sweep grid values must be >= 0"):
         sweep_grid(DEFAULT_CONFIG, [0.1], [-0.2, 0.1])
 
 
@@ -687,6 +686,23 @@ def test_export_csv_rejects_a_direction_before_writing(tmp_path, name, direction
     path = tmp_path / f"{name}.csv"
     with pytest.raises(ConfigError):
         export_csv(name, DEFAULT_CONFIG, R_SMALL, J_SMALL, path, direction)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_a_direction_that_is_no_member_is_rejected_as_in_a_config(tmp_path, name, direction):
+    # the rule of config_violations, before the figure's own directions
+    message = f"direction must be a Direction member, got '{direction}'"
+    (problem,) = config_violations(replace(DEFAULT_CONFIG, direction=direction))
+    assert str(problem) == message
+    with pytest.raises(ConfigError) as raised:
+        figure_dataset(name, DEFAULT_CONFIG, R_SMALL, J_SMALL, direction)
+    assert str(raised.value) == message
+    path = tmp_path / f"{name}.csv"
+    with pytest.raises(ConfigError) as raised:
+        export_csv(name, DEFAULT_CONFIG, R_SMALL, J_SMALL, path, direction)
+    assert str(raised.value) == message
     assert not path.exists()
 
 
